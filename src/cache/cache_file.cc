@@ -1,13 +1,13 @@
 #include "src/cache/cache_file.h"
 
-#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 
 #include "src/cache/verdict_cache.h"
+#include "src/support/bit_value.h"
 #include "src/support/error.h"
+#include "src/support/record.h"
 
 namespace gauntlet {
 
@@ -19,110 +19,39 @@ constexpr const char* kMagic = "gauntletcache";
 // summary fingerprints.
 constexpr int kVersion = 2;
 
-// Strings are hex-encoded ("-" for empty) so whitespace and arbitrary bytes
-// in details / witness variable names survive the line-oriented format.
-std::string ToHexToken(const std::string& text) {
-  if (text.empty()) {
-    return "-";
-  }
-  static const char* kDigits = "0123456789abcdef";
-  std::string hex;
-  hex.reserve(text.size() * 2);
-  for (const unsigned char c : text) {
-    hex.push_back(kDigits[c >> 4]);
-    hex.push_back(kDigits[c & 0xf]);
-  }
-  return hex;
-}
-
-int HexNibble(char c) {
-  if (c >= '0' && c <= '9') {
-    return c - '0';
-  }
-  if (c >= 'a' && c <= 'f') {
-    return c - 'a' + 10;
-  }
-  return -1;
-}
-
-std::string FromHexToken(const std::string& token, int line) {
-  if (token == "-") {
-    return "";
-  }
-  if (token.size() % 2 != 0) {
-    throw CompileError("cache file line " + std::to_string(line) + ": odd hex token");
-  }
-  std::string text;
-  text.reserve(token.size() / 2);
-  for (size_t i = 0; i < token.size(); i += 2) {
-    const int hi = HexNibble(token[i]);
-    const int lo = HexNibble(token[i + 1]);
-    if (hi < 0 || lo < 0) {
-      throw CompileError("cache file line " + std::to_string(line) + ": bad hex token");
+// Structural check of a loaded template, so a corrupt file fails the load
+// instead of sending replay out of bounds: events are -1 (fresh literal) or
+// a clause size, the counts match the streams, and every literal names a
+// tape slot that exists at the point it is read.
+bool TemplateIsConsistent(const BlastTemplate& tpl) {
+  uint64_t tape = 1 + uint64_t{tpl.input_count};
+  uint64_t fresh = 0;
+  uint64_t clauses = 0;
+  size_t lit = 0;
+  for (const int32_t event : tpl.events) {
+    if (event == -1) {
+      ++tape;
+      ++fresh;
+      continue;
     }
-    text.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return text;
-}
-
-// Strict per-line reader: every extraction failure carries the line number.
-class LineReader {
- public:
-  explicit LineReader(std::istream& in) : in_(in) {}
-
-  bool NextLine() {
-    while (std::getline(in_, line_)) {
-      ++line_number_;
-      if (!line_.empty()) {
-        tokens_.str(line_);
-        tokens_.clear();
-        return true;
+    if (event < 0 || static_cast<size_t>(event) > tpl.clause_lits.size() - lit) {
+      return false;
+    }
+    ++clauses;
+    for (int32_t i = 0; i < event; ++i, ++lit) {
+      if ((tpl.clause_lits[lit].code >> 1) >= tape) {
+        return false;
       }
     }
-    return false;
   }
-
-  void RequireLine(const char* what) {
-    if (!NextLine()) {
-      throw CompileError(std::string("cache file truncated: expected ") + what);
+  for (const TemplateLit output : tpl.outputs) {
+    if ((output.code >> 1) >= tape) {
+      return false;
     }
   }
-
-  uint64_t U64(const char* what) {
-    uint64_t value = 0;
-    if (!(tokens_ >> value)) {
-      Fail(what);
-    }
-    return value;
-  }
-
-  std::string Token(const char* what) {
-    std::string token;
-    if (!(tokens_ >> token)) {
-      Fail(what);
-    }
-    return token;
-  }
-
-  void ExpectWord(const char* word) {
-    if (Token(word) != word) {
-      Fail(word);
-    }
-  }
-
-  int line_number() const { return line_number_; }
-
- private:
-  [[noreturn]] void Fail(const char* what) {
-    throw CompileError("cache file line " + std::to_string(line_number_) + ": expected " +
-                       what);
-  }
-
-  std::istream& in_;
-  std::string line_;
-  std::istringstream tokens_;
-  int line_number_ = 0;
-};
+  return fresh == tpl.fresh_count && clauses == tpl.clause_count &&
+         lit == tpl.clause_lits.size();
+}
 
 void WriteTemplate(std::ostream& out, const Fingerprint& fp, const BlastTemplate& tpl) {
   out << fp.hi << ' ' << fp.lo << ' ' << tpl.input_count << ' ' << tpl.fresh_count << ' '
@@ -144,14 +73,14 @@ void WriteTemplate(std::ostream& out, const Fingerprint& fp, const BlastTemplate
 void WriteVerdict(std::ostream& out, const Fingerprint& key, const VerdictCache::Entry& entry) {
   const TvPassResult& result = entry.result;
   out << key.hi << ' ' << key.lo << ' ' << entry.queries << ' '
-      << static_cast<int>(result.verdict) << ' ' << ToHexToken(result.pass_name) << ' '
-      << ToHexToken(result.detail) << ' ' << result.counterexample.bit_values.size();
+      << static_cast<int>(result.verdict) << ' ' << HexToken(result.pass_name) << ' '
+      << HexToken(result.detail) << ' ' << result.counterexample.bit_values.size();
   for (const auto& [name, value] : result.counterexample.bit_values) {
-    out << ' ' << ToHexToken(name) << ' ' << value.width() << ' ' << value.bits();
+    out << ' ' << HexToken(name) << ' ' << value.width() << ' ' << value.bits();
   }
   out << ' ' << result.counterexample.bool_values.size();
   for (const auto& [name, value] : result.counterexample.bool_values) {
-    out << ' ' << ToHexToken(name) << ' ' << (value ? 1 : 0);
+    out << ' ' << HexToken(name) << ' ' << (value ? 1 : 0);
   }
   out << '\n';
 }
@@ -200,7 +129,7 @@ void SaveValidationCaches(const std::vector<ValidationCache*>& caches, std::ostr
 }
 
 void LoadValidationCache(std::istream& in, ValidationCache& cache) {
-  LineReader reader(in);
+  RecordReader reader(in, "cache file");
   reader.RequireLine("header");
   reader.ExpectWord(kMagic);
   const uint64_t version = reader.U64("version");
@@ -218,23 +147,23 @@ void LoadValidationCache(std::istream& in, ValidationCache& cache) {
     fp.hi = reader.U64("fingerprint hi");
     fp.lo = reader.U64("fingerprint lo");
     BlastTemplate tpl;
-    tpl.input_count = static_cast<uint32_t>(reader.U64("input count"));
-    tpl.fresh_count = static_cast<uint32_t>(reader.U64("fresh count"));
-    tpl.clause_count = static_cast<uint32_t>(reader.U64("clause count"));
-    const uint64_t event_count = reader.U64("event count");
-    tpl.events.reserve(event_count);
-    for (uint64_t e = 0; e < event_count; ++e) {
-      tpl.events.push_back(static_cast<int32_t>(static_cast<int64_t>(reader.U64("event"))));
+    tpl.input_count = reader.Read<uint32_t>("input count");
+    tpl.fresh_count = reader.Read<uint32_t>("fresh count");
+    tpl.clause_count = reader.Read<uint32_t>("clause count");
+    tpl.events.resize(reader.InlineCount("event count"));
+    for (int32_t& event : tpl.events) {
+      event = reader.Read<int32_t>("event");
     }
-    const uint64_t lit_count = reader.U64("clause literal count");
-    tpl.clause_lits.reserve(lit_count);
-    for (uint64_t l = 0; l < lit_count; ++l) {
-      tpl.clause_lits.push_back(TemplateLit{static_cast<uint32_t>(reader.U64("literal"))});
+    tpl.clause_lits.resize(reader.InlineCount("clause literal count"));
+    for (TemplateLit& lit : tpl.clause_lits) {
+      lit.code = reader.Read<uint32_t>("literal");
     }
-    const uint64_t output_count = reader.U64("output count");
-    tpl.outputs.reserve(output_count);
-    for (uint64_t o = 0; o < output_count; ++o) {
-      tpl.outputs.push_back(TemplateLit{static_cast<uint32_t>(reader.U64("output"))});
+    tpl.outputs.resize(reader.InlineCount("output count"));
+    for (TemplateLit& output : tpl.outputs) {
+      output.code = reader.Read<uint32_t>("output");
+    }
+    if (!TemplateIsConsistent(tpl)) {
+      reader.Fail("expected a consistent blast template");
     }
     cache.blast().Insert(fp, std::move(tpl));
   }
@@ -253,26 +182,29 @@ void LoadValidationCache(std::istream& in, ValidationCache& cache) {
       key.hi = reader.U64("verdict key hi");
       key.lo = reader.U64("verdict key lo");
       VerdictCache::Entry entry;
-      entry.queries = static_cast<uint32_t>(reader.U64("query count"));
+      entry.queries = reader.Read<uint32_t>("query count");
       const uint64_t verdict = reader.U64("verdict code");
       if (verdict > static_cast<uint64_t>(TvVerdict::kInvalidEmit)) {
-        throw CompileError("cache file line " + std::to_string(reader.line_number()) +
-                           ": unknown verdict code " + std::to_string(verdict));
+        reader.Fail("unknown verdict code " + std::to_string(verdict));
       }
       entry.result.verdict = static_cast<TvVerdict>(verdict);
-      entry.result.pass_name = FromHexToken(reader.Token("pass name"), reader.line_number());
-      entry.result.detail = FromHexToken(reader.Token("detail"), reader.line_number());
+      entry.result.pass_name = reader.HexString("pass name");
+      entry.result.detail = reader.HexString("detail");
       const uint64_t bit_count = reader.U64("bit witness count");
       for (uint64_t b = 0; b < bit_count; ++b) {
-        const std::string name = FromHexToken(reader.Token("witness name"), reader.line_number());
-        const uint32_t width = static_cast<uint32_t>(reader.U64("witness width"));
+        std::string name = reader.HexString("witness name");
+        const uint32_t width = reader.Read<uint32_t>("witness width");
         const uint64_t bits = reader.U64("witness bits");
-        entry.result.counterexample.bit_values.emplace(name, BitValue(width, bits));
+        if (width < 1 || width > BitValue::kMaxWidth || bits > BitValue::MaskFor(width)) {
+          reader.Fail("expected a witness width in 1..64 holding its bits");
+        }
+        entry.result.counterexample.bit_values.emplace(std::move(name), BitValue(width, bits));
       }
       const uint64_t bool_count = reader.U64("bool witness count");
       for (uint64_t b = 0; b < bool_count; ++b) {
-        const std::string name = FromHexToken(reader.Token("witness name"), reader.line_number());
-        entry.result.counterexample.bool_values.emplace(name, reader.U64("witness bool") != 0);
+        std::string name = reader.HexString("witness name");
+        entry.result.counterexample.bool_values.emplace(std::move(name),
+                                                        reader.Read<bool>("witness bool"));
       }
       cache.PreloadVerdict(program_key, key, std::move(entry));
     }
@@ -293,6 +225,7 @@ void LoadValidationCache(std::istream& in, ValidationCache& cache) {
       cache.summaries().RecordSemanticsFingerprint(key, fp);
     }
   }
+  reader.Finish();
 }
 
 bool LoadValidationCacheFile(const std::string& path, ValidationCache& cache) {

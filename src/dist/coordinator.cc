@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "src/obs/trace.h"
 #include "src/runtime/corpus.h"
 #include "src/support/error.h"
+#include "src/support/file_io.h"
 
 namespace gauntlet {
 
@@ -40,33 +40,6 @@ std::string ShardCachePath(const std::string& scratch, int shard) {
 // coordinator's status dir — the layout `gauntlet status` scans.
 std::string ShardStatusDir(const std::string& status_dir, int shard) {
   return (fs::path(status_dir) / ("shard-" + std::to_string(shard))).string();
-}
-
-bool ReadSmallFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-void CopyFileBytes(const std::string& from, const std::string& to) {
-  std::ifstream in(from, std::ios::binary);
-  if (!in) {
-    throw CompileError("cannot open '" + from + "'");
-  }
-  std::ofstream out(to, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw CompileError("cannot write '" + to + "'");
-  }
-  out << in.rdbuf();
-  out.flush();
-  if (!out) {
-    throw CompileError("failed writing '" + to + "'");
-  }
 }
 
 // Child argv for one shard: the topology flags the coordinator owns, then
@@ -267,7 +240,11 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
   // lifted to processes.
   if (!options.cache_file.empty() && fs::exists(options.cache_file)) {
     for (const ShardRange& range : ranges) {
-      CopyFileBytes(options.cache_file, ShardCachePath(scratch, range.index));
+      std::error_code ec;
+      if (!fs::copy_file(options.cache_file, ShardCachePath(scratch, range.index),
+                         fs::copy_options::overwrite_existing, ec)) {
+        throw CompileError("cannot copy '" + options.cache_file + "': " + ec.message());
+      }
     }
   }
 
@@ -318,7 +295,7 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
             std::string error;
             const std::string path =
                 HeartbeatPathIn(ShardStatusDir(options.status_dir, range.index));
-            if (!ReadSmallFile(path, &text)) {
+            if (!ReadFile(path, &text)) {
               summary.state = "starting";  // the worker has not published yet
             } else if (!ParseHeartbeatJson(text, &heartbeat, &error)) {
               summary.state = WorkerHealthToString(WorkerHealth::kCorrupt);

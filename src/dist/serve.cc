@@ -19,6 +19,9 @@
 #include "src/obs/run_report.h"
 #include "src/runtime/corpus.h"
 #include "src/support/error.h"
+#include "src/support/file_io.h"
+#include "src/support/json.h"
+#include "src/support/record.h"
 #include "src/target/target.h"
 #include "src/typecheck/typecheck.h"
 
@@ -229,50 +232,44 @@ std::string GauntletServer::HandleSubmission(const std::string& payload) {
     CountMetric("serve/verdict/error", MetricScope::kTiming);
     return ErrorJson(message);
   };
-  std::istringstream lines(payload);
-  std::string line;
-  if (!std::getline(lines, line)) {
-    return fail("empty request");
-  }
-  {
-    std::istringstream header(line);
-    std::string word;
-    int version = 0;
-    if (!(header >> word >> version) || word != "gauntlet-submit") {
-      return fail("unknown request '" + line + "'");
-    }
-    if (version != kServeProtocolVersion) {
-      return fail("unsupported protocol version " + std::to_string(version));
-    }
-  }
-
   BugConfig bugs = base_bugs_;
   std::vector<std::string> targets;
-  while (std::getline(lines, line) && !line.empty()) {
-    std::istringstream header(line);
-    std::string key;
-    std::string value;
-    if (!(header >> key >> value)) {
-      return fail("malformed header '" + line + "'");
+  std::string program_text;
+  try {
+    // Header records ("gauntlet-submit <version>", then "bug <name>" /
+    // "target <name>" lines), a blank line, then the program verbatim.
+    std::istringstream in(payload);
+    RecordReader reader(in, "request");
+    if (!reader.NextLine()) {
+      return fail("empty request");
     }
-    if (key == "bug") {
-      const auto bug = BugIdFromString(value);
-      if (!bug.has_value()) {
-        return fail("unknown bug '" + value + "'");
-      }
-      bugs.Enable(*bug);
-    } else if (key == "target") {
-      if (TargetRegistry::Find(value) == nullptr) {
-        return fail("unknown target '" + value + "'");
-      }
-      targets.push_back(value);
-    } else {
-      return fail("unknown header '" + key + "'");
+    reader.ExpectWord("gauntlet-submit");
+    const uint64_t version = reader.U64("protocol version");
+    if (version != static_cast<uint64_t>(kServeProtocolVersion)) {
+      return fail("unsupported protocol version " + std::to_string(version));
     }
+    while (reader.NextLine() && !reader.LineEmpty()) {
+      const std::string key(reader.Token("header name"));
+      const std::string value(reader.Token("header value"));
+      if (key == "bug") {
+        const auto bug = BugIdFromString(value);
+        if (!bug.has_value()) {
+          return fail("unknown bug '" + value + "'");
+        }
+        bugs.Enable(*bug);
+      } else if (key == "target") {
+        if (TargetRegistry::Find(value) == nullptr) {
+          return fail("unknown target '" + value + "'");
+        }
+        targets.push_back(value);
+      } else {
+        return fail("unknown header '" + key + "'");
+      }
+    }
+    program_text = reader.Rest();
+  } catch (const CompileError& error) {
+    return fail(error.what());
   }
-  std::ostringstream rest;
-  rest << lines.rdbuf();
-  const std::string program_text = rest.str();
   if (program_text.empty()) {
     return fail("empty program");
   }

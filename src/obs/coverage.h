@@ -118,9 +118,10 @@ void CoverPoint(std::string_view domain, std::string_view point, MetricScope sco
 //   }
 std::string CoverageJson(const CoverageMap& map);
 
-// Parses a CoverageJson string back into a map. Accepts exactly the subset
-// CoverageJson emits (string keys, unsigned integer values, two nesting
-// levels); returns false and sets *error on anything else.
+// Parses a CoverageJson string back into a map: exactly the version and the
+// two sections, each domain an object of unsigned integer points (reader
+// rules: src/support/json.h). Returns false and sets *error on anything
+// else, leaving *out untouched.
 bool ParseCoverageJson(const std::string& text, CoverageMap* out, std::string* error);
 
 // Human-readable per-domain listing plus a blind-spot section: faults

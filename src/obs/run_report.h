@@ -13,12 +13,6 @@ namespace gauntlet {
 // Version 2 added p50/p90/p99 summaries to timing-section histograms.
 inline constexpr int kRunReportVersion = 2;
 
-// A JSON string literal (surrounding quotes included) with quotes and
-// backslashes escaped and every byte outside printable ASCII emitted as a
-// byte-wise \u00xx escape, so hostile span/metric names can never break the
-// emitted JSON.
-std::string JsonQuoted(std::string_view text);
-
 // Renders a registry as the versioned two-section run report:
 //
 //   {

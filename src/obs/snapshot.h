@@ -79,29 +79,13 @@ struct Snapshot {
 // Renders one snapshot as a JSON object (trailing newline included).
 std::string SnapshotJson(const Snapshot& snapshot);
 
-// Parses the flat fields of a snapshot back. The embedded "metrics" object
-// and "shards" array are validated as balanced JSON but not reconstructed —
-// machine consumers wanting them should parse the file with a real JSON
-// library; `gauntlet status` re-derives the fleet view from the per-worker
-// heartbeat files instead. False + *error on malformed input (a torn or
-// truncated file must read as corrupt, never half-load).
+// Parses a snapshot back, shards array included; the embedded "metrics"
+// object is checked and kept verbatim in metrics_json. False + *error on
+// malformed input (a torn or truncated file must read as corrupt, never
+// half-load). Strictness rules: src/support/json.h.
 bool ParseSnapshotJson(const std::string& text, Snapshot* out, std::string* error);
 
-// Streams the top-level key/value pairs of one flat JSON object into the
-// callbacks; nested objects/arrays are skipped (balanced, string-aware).
-// The subset matches what the status artifacts emit: string keys,
-// non-negative integer or string values. False + *error on malformed input.
-bool ForEachJsonField(const std::string& text,
-                      const std::function<void(const std::string& key, uint64_t value)>& on_number,
-                      const std::function<void(const std::string& key, const std::string& value)>& on_string,
-                      std::string* error);
-
-// Writes `content` to `path` atomically: a temp file in the same directory
-// (same filesystem, so the rename is atomic) is written, flushed, and
-// renamed over the destination. False on any failure; the temp file is
-// cleaned up best-effort.
-bool WriteFileAtomic(const std::string& path, const std::string& content);
-
+// Atomic write (src/support/file_io.h WriteFileAtomic); false on failure.
 bool WriteSnapshotFile(const std::string& path, const Snapshot& snapshot);
 
 // Canonical file names inside a status directory.

@@ -1,9 +1,9 @@
 #include "src/runtime/corpus.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -13,6 +13,8 @@
 #include "src/obs/coverage.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/support/file_io.h"
+#include "src/support/json.h"
 #include "src/target/target.h"
 
 namespace gauntlet {
@@ -34,63 +36,15 @@ std::string Sanitize(const std::string& raw) {
   return out.empty() ? std::string("finding") : out;
 }
 
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-void WriteFileOrThrow(const fs::path& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    throw CompileError("corpus: cannot write '" + path.string() + "'");
-  }
-  out << content;
-}
-
-std::string ReadFileOrThrow(const fs::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw CompileError("corpus: cannot read '" + path.string() + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 std::string FindingJson(const std::string& key, const Finding& finding) {
   std::ostringstream json;
   json << "{\n"
-       << "  \"key\": \"" << JsonEscape(key) << "\",\n"
+       << "  \"key\": " << JsonQuoted(key) << ",\n"
        << "  \"program_index\": " << finding.program_index << ",\n"
        << "  \"method\": \"" << DetectionMethodToString(finding.method) << "\",\n"
        << "  \"kind\": \"" << (finding.kind == BugKind::kCrash ? "crash" : "semantic")
        << "\",\n"
-       << "  \"component\": \"" << JsonEscape(finding.component) << "\",\n"
+       << "  \"component\": " << JsonQuoted(finding.component) << ",\n"
        << "  \"attributed\": ";
   if (finding.attributed.has_value()) {
     json << "\"" << BugIdToString(*finding.attributed) << "\"";
@@ -98,147 +52,10 @@ std::string FindingJson(const std::string& key, const Finding& finding) {
     json << "null";
   }
   json << ",\n"
-       << "  \"detail\": \"" << JsonEscape(finding.detail) << "\"\n"
+       << "  \"detail\": " << JsonQuoted(finding.detail) << "\n"
        << "}\n";
   return json.str();
 }
-
-// --- minimal JSON reader ----------------------------------------------------
-//
-// Parses exactly the JSON this file (and the legacy finding.json writer)
-// emits: objects with string keys, and string / unsigned-number / null
-// values. Strict — anything outside that subset is a parse error, because a
-// half-read manifest silently dropping entries would defeat the dedup it
-// exists for.
-
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void SkipSpace() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-                                   text_[pos_] == '\r' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipSpace();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool AtEnd() {
-    SkipSpace();
-    return pos_ >= text_.size();
-  }
-
-  bool ParseString(std::string* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return false;
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return true;
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        return false;
-      }
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"':
-          out->push_back('"');
-          break;
-        case '\\':
-          out->push_back('\\');
-          break;
-        case 'n':
-          out->push_back('\n');
-          break;
-        case 't':
-          out->push_back('\t');
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return false;
-          }
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const int nibble = HexNibbleValue(text_[pos_ + static_cast<size_t>(i)]);
-            if (nibble < 0) {
-              return false;
-            }
-            value = (value << 4) | static_cast<unsigned>(nibble);
-          }
-          pos_ += 4;
-          // The writers only emit byte-wise \u00xx escapes.
-          out->push_back(static_cast<char>(value & 0xff));
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;
-  }
-
-  bool ParseUnsigned(uint64_t* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      return false;
-    }
-    uint64_t value = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      value = value * 10 + static_cast<uint64_t>(text_[pos_] - '0');
-      ++pos_;
-    }
-    *out = value;
-    return true;
-  }
-
-  bool ConsumeWord(const char* word) {
-    SkipSpace();
-    const size_t length = std::string(word).size();
-    if (text_.compare(pos_, length, word) != 0) {
-      return false;
-    }
-    pos_ += length;
-    return true;
-  }
-
-  static int HexNibbleValue(char c) {
-    if (c >= '0' && c <= '9') {
-      return c - '0';
-    }
-    if (c >= 'a' && c <= 'f') {
-      return c - 'a' + 10;
-    }
-    if (c >= 'A' && c <= 'F') {
-      return c - 'A' + 10;
-    }
-    return -1;
-  }
-
- private:
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 std::string FingerprintToHex(const Fingerprint& fingerprint) {
   char buffer[33];
@@ -254,12 +71,10 @@ bool FingerprintFromHex(const std::string& hex, Fingerprint* out) {
   }
   uint64_t words[2] = {0, 0};
   for (int w = 0; w < 2; ++w) {
-    for (int i = 0; i < 16; ++i) {
-      const int nibble = JsonCursor::HexNibbleValue(hex[static_cast<size_t>(w * 16 + i)]);
-      if (nibble < 0) {
-        return false;
-      }
-      words[w] = (words[w] << 4) | static_cast<uint64_t>(nibble);
+    const char* begin = hex.data() + w * 16;
+    const auto [end, ec] = std::from_chars(begin, begin + 16, words[w], 16);
+    if (ec != std::errc() || end != begin + 16) {
+      return false;
     }
   }
   out->hi = words[0];
@@ -272,42 +87,27 @@ bool FingerprintFromHex(const std::string& hex, Fingerprint* out) {
 // missing fields stay default — an old triple with a sparse finding.json is
 // still indexable.
 void ParseFindingMetadata(const std::string& text, CorpusManifestEntry* entry) {
-  JsonCursor cursor(text);
-  if (!cursor.Consume('{')) {
-    return;
-  }
-  while (!cursor.Peek('}')) {
-    std::string field;
-    if (!cursor.ParseString(&field) || !cursor.Consume(':')) {
-      return;
-    }
-    std::string string_value;
-    uint64_t number_value = 0;
-    if (cursor.Peek('"')) {
-      if (!cursor.ParseString(&string_value)) {
-        return;
-      }
-      if (field == "method") {
-        entry->method = string_value;
-      } else if (field == "kind") {
-        entry->kind = string_value;
-      } else if (field == "component") {
-        entry->component = string_value;
-      } else if (field == "attributed") {
-        entry->attributed = string_value;
-      }
-    } else if (cursor.ConsumeWord("null")) {
-      // attributed: null — leave empty.
-    } else if (cursor.ParseUnsigned(&number_value)) {
-      if (field == "program_index") {
-        entry->program_index = static_cast<int>(number_value);
-      }
-    } else {
-      return;
-    }
-    if (!cursor.Consume(',')) {
-      break;
-    }
+  CorpusManifestEntry parsed = *entry;
+  const bool ok = ReadJson(
+      text,
+      [&parsed](const JsonValue& root) {
+        for (const auto& [field, value] : root.AsObject()) {
+          if (field == "method") {
+            parsed.method = value.AsString();
+          } else if (field == "kind") {
+            parsed.kind = value.AsString();
+          } else if (field == "component") {
+            parsed.component = value.AsString();
+          } else if (field == "attributed" && !value.is_null()) {
+            parsed.attributed = value.AsString();
+          } else if (field == "program_index") {
+            parsed.program_index = value.AsInt<int>();
+          }
+        }
+      },
+      nullptr);
+  if (ok) {
+    *entry = std::move(parsed);
   }
 }
 
@@ -334,14 +134,15 @@ std::vector<std::string> ScanTripleKeys(const std::string& directory) {
   return keys;
 }
 
-std::string ReadFileOrEmpty(const fs::path& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return "";
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+// Reads a stored reproducer's program and STF; both must be readable (the
+// manifest or the directory scan promised them).
+CorpusEntry ReadReproducer(const std::string& directory, const std::string& key) {
+  CorpusEntry entry;
+  entry.key = key;
+  const std::string base = (fs::path(directory) / key).string();
+  entry.program_text = ReadFile(base + ".p4");
+  entry.stf_text = ReadFile(base + ".stf");
+  return entry;
 }
 
 }  // namespace
@@ -382,12 +183,12 @@ std::string CorpusManifestJson(const CorpusManifest& manifest) {
   for (const auto& [key, entry] : manifest.entries()) {
     json << (first ? "\n" : ",\n");
     first = false;
-    json << "    \"" << JsonEscape(key) << "\": {\n"
-         << "      \"attributed\": \"" << JsonEscape(entry.attributed) << "\",\n"
-         << "      \"component\": \"" << JsonEscape(entry.component) << "\",\n"
+    json << "    " << JsonQuoted(key) << ": {\n"
+         << "      \"attributed\": " << JsonQuoted(entry.attributed) << ",\n"
+         << "      \"component\": " << JsonQuoted(entry.component) << ",\n"
          << "      \"fingerprint\": \"" << FingerprintToHex(entry.fingerprint) << "\",\n"
-         << "      \"kind\": \"" << JsonEscape(entry.kind) << "\",\n"
-         << "      \"method\": \"" << JsonEscape(entry.method) << "\",\n"
+         << "      \"kind\": " << JsonQuoted(entry.kind) << ",\n"
+         << "      \"method\": " << JsonQuoted(entry.method) << ",\n"
          << "      \"program_index\": " << entry.program_index << "\n"
          << "    }";
   }
@@ -398,108 +199,50 @@ std::string CorpusManifestJson(const CorpusManifest& manifest) {
 
 bool ParseCorpusManifestJson(const std::string& text, CorpusManifest* out,
                              std::string* error) {
-  const auto fail = [error](const std::string& message) {
-    if (error != nullptr) {
-      *error = message;
-    }
-    return false;
-  };
-  JsonCursor cursor(text);
-  if (!cursor.Consume('{')) {
-    return fail("expected top-level object");
-  }
   CorpusManifest manifest;
-  bool saw_version = false;
-  while (!cursor.Peek('}')) {
-    std::string field;
-    if (!cursor.ParseString(&field) || !cursor.Consume(':')) {
-      return fail("malformed top-level field");
-    }
-    if (field == "version") {
-      uint64_t version = 0;
-      if (!cursor.ParseUnsigned(&version)) {
-        return fail("malformed version");
-      }
-      if (version != static_cast<uint64_t>(kCorpusManifestVersion)) {
-        return fail("unsupported manifest version " + std::to_string(version));
-      }
-      saw_version = true;
-    } else if (field == "total") {
-      uint64_t ignored = 0;
-      if (!cursor.ParseUnsigned(&ignored)) {
-        return fail("malformed total");
-      }
-    } else if (field == "entries") {
-      if (!cursor.Consume('{')) {
-        return fail("entries must be an object");
-      }
-      while (!cursor.Peek('}')) {
-        CorpusManifestEntry entry;
-        if (!cursor.ParseString(&entry.key) || !cursor.Consume(':') || !cursor.Consume('{')) {
-          return fail("malformed entry for a key");
+  const bool ok = ReadJson(
+      text,
+      [&manifest](const JsonValue& root) {
+        RequireJsonVersion(root, "manifest", kCorpusManifestVersion);
+        const JsonValue* entries = root.Find("entries");
+        const JsonValue* total = root.Find("total");
+        if (entries == nullptr || total == nullptr || root.AsObject().size() != 3) {
+          throw CompileError("manifest: expected exactly version, entries and total");
         }
-        while (!cursor.Peek('}')) {
-          std::string entry_field;
-          if (!cursor.ParseString(&entry_field) || !cursor.Consume(':')) {
-            return fail("malformed field in entry '" + entry.key + "'");
-          }
-          if (entry_field == "program_index") {
-            uint64_t index = 0;
-            if (!cursor.ParseUnsigned(&index)) {
-              return fail("malformed program_index in entry '" + entry.key + "'");
-            }
-            entry.program_index = static_cast<int>(index);
-          } else {
-            std::string value;
-            if (!cursor.ParseString(&value)) {
-              return fail("malformed value in entry '" + entry.key + "'");
-            }
-            if (entry_field == "fingerprint") {
-              if (!FingerprintFromHex(value, &entry.fingerprint)) {
-                return fail("malformed fingerprint in entry '" + entry.key + "'");
+        for (const auto& [key, fields] : entries->AsObject()) {
+          CorpusManifestEntry entry;
+          entry.key = key;
+          for (const auto& [field, value] : fields.AsObject()) {
+            if (field == "program_index") {
+              entry.program_index = value.AsInt<int>();
+            } else if (field == "fingerprint") {
+              if (!FingerprintFromHex(value.AsString(), &entry.fingerprint)) {
+                throw CompileError("malformed fingerprint in entry '" + key + "'");
               }
-            } else if (entry_field == "attributed") {
-              entry.attributed = value;
-            } else if (entry_field == "component") {
-              entry.component = value;
-            } else if (entry_field == "kind") {
-              entry.kind = value;
-            } else if (entry_field == "method") {
-              entry.method = value;
+            } else if (field == "attributed") {
+              entry.attributed = value.AsString();
+            } else if (field == "component") {
+              entry.component = value.AsString();
+            } else if (field == "kind") {
+              entry.kind = value.AsString();
+            } else if (field == "method") {
+              entry.method = value.AsString();
             } else {
-              return fail("unknown field '" + entry_field + "' in entry '" + entry.key + "'");
+              throw CompileError("unknown field '" + field + "' in entry '" + key + "'");
             }
           }
-          if (!cursor.Consume(',')) {
-            break;
-          }
+          manifest.Insert(std::move(entry));
         }
-        if (!cursor.Consume('}')) {
-          return fail("unterminated entry '" + entry.key + "'");
+        if (total->AsU64() != static_cast<uint64_t>(manifest.size())) {
+          throw CompileError("manifest total " + std::to_string(total->AsU64()) + " but " +
+                             std::to_string(manifest.size()) + " entries");
         }
-        manifest.Insert(std::move(entry));
-        if (!cursor.Consume(',')) {
-          break;
-        }
-      }
-      if (!cursor.Consume('}')) {
-        return fail("unterminated entries object");
-      }
-    } else {
-      return fail("unknown top-level field '" + field + "'");
-    }
-    if (!cursor.Consume(',')) {
-      break;
-    }
+      },
+      error);
+  if (ok) {
+    *out = std::move(manifest);
   }
-  if (!cursor.Consume('}') || !cursor.AtEnd()) {
-    return fail("trailing content after manifest object");
-  }
-  if (!saw_version) {
-    return fail("missing version");
-  }
-  *out = std::move(manifest);
-  return true;
+  return ok;
 }
 
 bool CorpusHasManifest(const std::string& directory) {
@@ -510,8 +253,10 @@ CorpusManifest LoadCorpusManifest(const std::string& directory) {
   CorpusManifest manifest;
   const fs::path manifest_path = fs::path(directory) / kManifestFileName;
   if (fs::exists(manifest_path)) {
-    std::string error;
-    if (!ParseCorpusManifestJson(ReadFileOrThrow(manifest_path), &manifest, &error)) {
+    std::string text;
+    std::string error = "unreadable";
+    if (!ReadFile(manifest_path.string(), &text) ||
+        !ParseCorpusManifestJson(text, &manifest, &error)) {
       // Fail loudly: a corrupt index silently rebuilt could mask a key that
       // was deliberately stored, breaking cross-run dedup.
       throw CompileError("corpus: cannot parse '" + manifest_path.string() + "': " + error);
@@ -521,19 +266,24 @@ CorpusManifest LoadCorpusManifest(const std::string& directory) {
   // Migration path: index a legacy flat directory by reading each triple
   // once. finding.json is optional — a bare program/STF pair still indexes.
   for (const std::string& key : ScanTripleKeys(directory)) {
-    const fs::path base = fs::path(directory) / key;
+    const CorpusEntry triple = ReadReproducer(directory, key);
     CorpusManifestEntry entry;
     entry.key = key;
-    entry.fingerprint = FingerprintReproducer(ReadFileOrThrow(base.string() + ".p4"),
-                                              ReadFileOrThrow(base.string() + ".stf"));
-    ParseFindingMetadata(ReadFileOrEmpty(base.string() + ".finding.json"), &entry);
+    entry.fingerprint = FingerprintReproducer(triple.program_text, triple.stf_text);
+    std::string finding_json;
+    if (ReadFile((fs::path(directory) / (key + ".finding.json")).string(), &finding_json)) {
+      ParseFindingMetadata(finding_json, &entry);
+    }
     manifest.Insert(std::move(entry));
   }
   return manifest;
 }
 
 void SaveCorpusManifest(const std::string& directory, const CorpusManifest& manifest) {
-  WriteFileOrThrow(fs::path(directory) / kManifestFileName, CorpusManifestJson(manifest));
+  const fs::path path = fs::path(directory) / kManifestFileName;
+  if (!WriteFile(path.string(), CorpusManifestJson(manifest))) {
+    throw CompileError("corpus: cannot write '" + path.string() + "'");
+  }
 }
 
 // --- store ------------------------------------------------------------------
@@ -569,9 +319,13 @@ std::string CorpusStore::Add(const Program& program, const Finding& finding) {
   const std::string program_text = PrintProgram(program);
   const std::string stf =
       finding.repro_test.has_value() ? EmitStf(*finding.repro_test) : std::string();
-  WriteFileOrThrow(base.string() + ".p4", program_text);
-  WriteFileOrThrow(base.string() + ".stf", stf);
-  WriteFileOrThrow(base.string() + ".finding.json", FindingJson(key, finding));
+  for (const auto& [extension, content] :
+       {std::pair{".p4", program_text}, std::pair{".stf", stf},
+        std::pair{".finding.json", FindingJson(key, finding)}}) {
+    if (!WriteFile(base.string() + extension, content)) {
+      throw CompileError("corpus: cannot write '" + base.string() + extension + "'");
+    }
+  }
   CorpusManifestEntry entry;
   entry.key = key;
   entry.fingerprint = FingerprintReproducer(program_text, stf);
@@ -617,9 +371,10 @@ int MergeCorpusStores(const std::string& destination,
       }
       for (const char* extension : {".p4", ".stf", ".finding.json"}) {
         const fs::path source = fs::path(shard_dir) / (key + extension);
-        if (fs::exists(source)) {
-          WriteFileOrThrow(fs::path(destination) / (key + extension),
-                           ReadFileOrThrow(source));
+        const fs::path target = fs::path(destination) / (key + extension);
+        if (fs::exists(source) &&
+            !fs::copy_file(source, target, fs::copy_options::overwrite_existing, ec)) {
+          throw CompileError("corpus: cannot copy '" + source.string() + "': " + ec.message());
         }
       }
       merged.Insert(entry);
@@ -652,14 +407,9 @@ std::vector<CorpusEntry> ListCorpus(const std::string& directory) {
   }
   for (const std::string& key : keys) {
     const fs::path base = fs::path(directory) / key;
-    if (!fs::exists(base.string() + ".p4") || !fs::exists(base.string() + ".stf")) {
-      continue;
+    if (fs::exists(base.string() + ".p4") && fs::exists(base.string() + ".stf")) {
+      entries.push_back(ReadReproducer(directory, key));
     }
-    CorpusEntry entry;
-    entry.key = key;
-    entry.program_text = ReadFileOrThrow(base.string() + ".p4");
-    entry.stf_text = ReadFileOrThrow(base.string() + ".stf");
-    entries.push_back(std::move(entry));
   }
   return entries;
 }

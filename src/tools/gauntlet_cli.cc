@@ -32,7 +32,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -57,6 +56,7 @@
 #include "src/reduce/reducer.h"
 #include "src/runtime/corpus.h"
 #include "src/runtime/parallel_campaign.h"
+#include "src/support/file_io.h"
 #include "src/target/target.h"
 #include "src/testgen/testgen.h"
 #include "src/tv/validator.h"
@@ -72,16 +72,6 @@ class CliUsageError : public std::runtime_error {
  public:
   explicit CliUsageError(const std::string& message) : std::runtime_error(message) {}
 };
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw CompileError("cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 // A command's parsed arguments: positionals in order, and every occurrence
 // of each value-taking flag.

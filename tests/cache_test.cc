@@ -467,6 +467,78 @@ TEST(CacheFileTest, MalformedInputFailsLoudly) {
   EXPECT_FALSE(LoadValidationCacheFile("/nonexistent/gauntlet.cache", cache));
 }
 
+// Loads `text` as a cache file into a fresh cache; a CompileError is the
+// only acceptable failure (anything else escapes and fails the test).
+void LoadCacheText(const std::string& text) {
+  std::stringstream stream(text);
+  ValidationCache cache;
+  LoadValidationCache(stream, cache);
+}
+
+TEST(CacheFileTest, UntrustedCountsNeverSizeAnAllocation) {
+  // A count far past what the line holds must fail as a file error, not as
+  // a bad_alloc/length_error from sizing a vector by it.
+  for (const char* count : {"1000000000000", "-1", "18446744073709551615"}) {
+    EXPECT_THROW(LoadCacheText(std::string("gauntletcache 2\nblast 1\n1 2 0 0 0 ") + count +
+                               " 0 0\nprograms 0\nsummaries 0\n"),
+                 CompileError)
+        << count;
+  }
+}
+
+TEST(CacheFileTest, NumeralsMustBeWholeUnsignedTokens) {
+  const std::string head = "gauntletcache 2\nblast 0\nprograms 0\nsummaries 1\n";
+  LoadCacheText(head + "1 2 3 4\n");  // the well-formed baseline loads
+  EXPECT_THROW(LoadCacheText(head + "-5 2 3 4\n"), CompileError);  // not 2^64-5
+  EXPECT_THROW(LoadCacheText(head + "1 2 3 7x\n"), CompileError);  // not 7
+  EXPECT_THROW(LoadCacheText(head + "1 2 3 +4\n"), CompileError);
+  EXPECT_THROW(LoadCacheText(head + "1 2 3 18446744073709551616\n"), CompileError);
+}
+
+TEST(CacheFileTest, TrailingTokensAndLinesAreRejected) {
+  EXPECT_THROW(LoadCacheText("gauntletcache 2 extra\nblast 0\nprograms 0\nsummaries 0\n"),
+               CompileError);
+  EXPECT_THROW(LoadCacheText("gauntletcache 2\nblast 0\nprograms 0\nsummaries 1\n1 2 3 4 5\n"),
+               CompileError);
+  EXPECT_THROW(LoadCacheText("gauntletcache 2\nblast 0\nprograms 0\nsummaries 0\nextra\n"),
+               CompileError);
+}
+
+TEST(CacheFileTest, WitnessWidthsAreRangeChecked) {
+  const auto with_witness = [](const std::string& width_and_bits) {
+    return "gauntletcache 2\nblast 0\nprograms 1\nprog 7 1\n1 2 2 1 - - 1 6e " +
+           width_and_bits + " 0\nsummaries 0\n";
+  };
+  LoadCacheText(with_witness("8 255"));  // the well-formed baseline loads
+  for (const char* bad : {"0 5", "65 1", "4294967304 1", "8 256"}) {
+    EXPECT_THROW(LoadCacheText(with_witness(bad)), CompileError) << bad;
+  }
+}
+
+TEST(CacheFileTest, NarrowFieldsAreRangeChecked) {
+  // A 32-bit query count or literal past its range must not wrap silently.
+  EXPECT_THROW(LoadCacheText("gauntletcache 2\nblast 0\nprograms 1\nprog 7 1\n"
+                             "1 2 4294967298 0 - - 0 0\nsummaries 0\n"),
+               CompileError);
+  EXPECT_THROW(LoadCacheText("gauntletcache 2\nblast 1\n1 2 4294967296 0 0 0 0 0\n"
+                             "programs 0\nsummaries 0\n"),
+               CompileError);
+}
+
+TEST(CacheFileTest, InconsistentBlastTemplatesAreRejected) {
+  const auto with_template = [](const std::string& body) {
+    return "gauntletcache 2\nblast 1\n1 2 " + body + "\nprograms 0\nsummaries 0\n";
+  };
+  // 1 input, 1 fresh literal, one 2-literal clause over slots 1 and 2,
+  // output slot 2: replayable.
+  LoadCacheText(with_template("1 1 1 2 -1 2 2 2 4 1 4"));
+  // A clause reading past the literal stream, a literal naming a slot that
+  // does not exist yet, and a fresh count that disagrees with the events.
+  EXPECT_THROW(LoadCacheText(with_template("1 1 1 2 -1 3 2 2 4 1 4")), CompileError);
+  EXPECT_THROW(LoadCacheText(with_template("1 1 1 2 -1 2 2 2 6 1 4")), CompileError);
+  EXPECT_THROW(LoadCacheText(with_template("1 0 1 2 -1 2 2 2 4 1 4")), CompileError);
+}
+
 // --- end-to-end bit-identity ----------------------------------------------
 
 void ExpectIdenticalReports(const CampaignReport& a, const CampaignReport& b) {

@@ -190,6 +190,103 @@ TEST_F(DistScratch, ShardResultLoadFailsLoudly) {
   EXPECT_THROW(LoadShardResultFile(Path("truncated.result")), CompileError);
 }
 
+// A small well-formed shard result: one attributed finding, one latency
+// row, one histogram metric and one coverage point.
+std::string SmallShardResultText() {
+  ShardResult result;
+  result.range = {/*index=*/1, /*begin=*/4, /*end=*/8};
+  result.report.programs_generated = 4;
+  result.report.tests_generated = 9;
+  Finding finding;
+  finding.program_index = 5;
+  finding.method = DetectionMethod::kPacketTest;
+  finding.kind = BugKind::kSemantic;
+  finding.component = "Predication";
+  finding.attributed = BugId::kPredicationLostElse;
+  finding.detail = "two words";
+  result.report.findings.push_back(finding);
+  result.report.latency.emplace(BugId::kPredicationLostElse, DetectionLatency{5, 3, 1, 77});
+  result.report.distinct_bugs.insert(BugId::kPredicationLostElse);
+  result.metrics.Observe("smt/solve_micros", MetricScope::kTiming, {10, 100}, 12);
+  result.coverage.Record("fault-trigger", "predication-lost-else/seeded",
+                         MetricScope::kDeterministic, 1);
+  std::stringstream out;
+  SaveShardResult(result, out);
+  return out.str();
+}
+
+// `text` with its first occurrence of `from` replaced by `to`.
+std::string Replaced(std::string text, const std::string& from, const std::string& to) {
+  const size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? text : text.replace(at, from.size(), to);
+}
+
+void LoadShardText(const std::string& text) {
+  std::stringstream in(text);
+  LoadShardResult(in);
+}
+
+TEST(ShardResultCodecTest, UntrustedCountsNeverSizeAnAllocation) {
+  const std::string valid = SmallShardResultText();
+  LoadShardText(valid);  // the well-formed baseline loads
+  for (const char* count : {"1000000000000", "-1"}) {
+    EXPECT_THROW(LoadShardText(Replaced(valid, "findings 1\n", std::string("findings ") +
+                                                                    count + "\n")),
+                 CompileError)
+        << count;
+    EXPECT_THROW(LoadShardText(Replaced(valid, " 2 10 100 3 ",
+                                        std::string(" ") + count + " 10 100 3 ")),
+                 CompileError)
+        << count;
+  }
+}
+
+TEST(ShardResultCodecTest, NumeralsMustBeWholeTokensAndLinesFullyConsumed) {
+  const std::string valid = SmallShardResultText();
+  EXPECT_THROW(LoadShardText(Replaced(valid, "lat predication-lost-else 5 3 1 77\n",
+                                      "lat predication-lost-else 5 3 1 -77\n")),
+               CompileError);
+  EXPECT_THROW(LoadShardText(Replaced(valid, "lat predication-lost-else 5 3 1 77\n",
+                                      "lat predication-lost-else 5 3 1 7x\n")),
+               CompileError);
+  EXPECT_THROW(LoadShardText(Replaced(valid, "range 1 4 8\n", "range 1 4 8 9\n")),
+               CompileError);
+  EXPECT_THROW(LoadShardText(Replaced(valid, "bug predication-lost-else\n",
+                                      "bug predication-lost-else extra\n")),
+               CompileError);
+  EXPECT_THROW(LoadShardText(valid + "trailing line\n"), CompileError);
+}
+
+TEST(ShardResultCodecTest, DuplicateMetricsAndPointsAreRejected) {
+  const std::string valid = SmallShardResultText();
+  const size_t met = valid.find("met ");
+  const size_t cov = valid.find("cov ");
+  ASSERT_NE(met, std::string::npos);
+  ASSERT_NE(cov, std::string::npos);
+  const std::string met_line = valid.substr(met, valid.find('\n', met) + 1 - met);
+  const std::string cov_line = valid.substr(cov, valid.find('\n', cov) + 1 - cov);
+  // The same metric again, as a counter: merging it would trip the
+  // registry's kind check instead of failing the load.
+  const std::string counter = Replaced(met_line, " 1 2 1 2 10 100 3 0 1 0\n", " 1 0 5 0 0\n");
+  EXPECT_THROW(LoadShardText(Replaced(Replaced(valid, "metrics 1\n", "metrics 2\n"), met_line,
+                                      met_line + counter)),
+               CompileError);
+  EXPECT_THROW(LoadShardText(Replaced(Replaced(valid, "coverage 1\n", "coverage 2\n"), cov_line,
+                                      cov_line + cov_line)),
+               CompileError);
+}
+
+TEST(ShardResultCodecTest, WideValuesNeverNarrowSilently) {
+  const std::string valid = SmallShardResultText();
+  // 2^32 + 5 would read back as program 5; 2^31 overflows an int counter.
+  EXPECT_THROW(LoadShardText(Replaced(valid, "find 5 ", "find 4294967301 ")), CompileError);
+  EXPECT_THROW(LoadShardText(Replaced(valid, "counters 4 ", "counters 2147483648 ")),
+               CompileError);
+  EXPECT_THROW(LoadShardText(Replaced(valid, "range 1 4 8\n", "range 1 4 4294967304\n")),
+               CompileError);
+}
+
 // --- the shard-merge identity contract -------------------------------------
 
 // Runs the same campaign single-process and as a 1/4-shard fleet (in-process

@@ -19,6 +19,7 @@
 #include "src/obs/run_report.h"
 #include "src/obs/trace.h"
 #include "src/runtime/parallel_campaign.h"
+#include "src/support/json.h"
 #include "src/target/stf.h"
 
 namespace gauntlet {
@@ -212,6 +213,16 @@ void ExpectBalancedJson(const std::string& text) {
   EXPECT_FALSE(in_string) << "unterminated string";
   EXPECT_EQ(depth, 0) << "unbalanced braces";
   EXPECT_TRUE(any);
+}
+
+TEST(RunReportTest, WritesToAFullDeviceFail) {
+  // The write helpers flush and check the stream: a full disk is an error,
+  // not a silently truncated report.
+  MetricsRegistry registry;
+  registry.Count("campaign/findings_total", MetricScope::kDeterministic, 3);
+  EXPECT_FALSE(WriteMetricsFile("/dev/full", registry));
+  EXPECT_FALSE(WriteTraceFile("/dev/full", TraceCollector()));
+  EXPECT_FALSE(WriteCoverageFile("/dev/full", CoverageMap()));
 }
 
 TEST(RunReportTest, MetricsJsonIsStructurallyValid) {
@@ -553,6 +564,28 @@ TEST(CoverageJsonTest, RoundTripsThroughParseAndSharesTheDeterministicSectionCon
   CoverageMap rejected;
   EXPECT_FALSE(ParseCoverageJson("{}", &rejected, &error));
   EXPECT_FALSE(ParseCoverageJson(json + "trailing", &rejected, &error));
+}
+
+TEST(CoverageJsonTest, RejectsOverflowingCountsAndWideEscapes) {
+  const auto with_point = [](const std::string& point, const std::string& count) {
+    return "{\n  \"version\": 1,\n  \"deterministic\": {\n    \"d\": {\"" + point +
+           "\": " + count + "}\n  },\n  \"timing\": {}\n}\n";
+  };
+  CoverageMap parsed;
+  std::string error;
+  ASSERT_TRUE(ParseCoverageJson(with_point("\\u0041", "18446744073709551615"), &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.Value("d", "A"), UINT64_MAX);
+  // One past uint64 must not wrap into a small count.
+  EXPECT_FALSE(ParseCoverageJson(with_point("p", "99999999999999999999999"), &parsed, &error));
+  EXPECT_FALSE(ParseCoverageJson(with_point("p", "18446744073709551616"), &parsed, &error));
+  // \u0141 is not a byte escape; it must not be truncated to 'A'.
+  EXPECT_FALSE(ParseCoverageJson(with_point("\\u0141", "1"), &parsed, &error));
+  EXPECT_NE(error.find("0x00ff"), std::string::npos) << error;
+  // Duplicate points would otherwise sum silently.
+  EXPECT_FALSE(ParseCoverageJson(with_point("p\": 1, \"p", "2"), &parsed, &error));
+  EXPECT_FALSE(ParseCoverageJson(with_point("p", "-1"), &parsed, &error));
+  EXPECT_FALSE(ParseCoverageJson(with_point("p", "1.5"), &parsed, &error));
 }
 
 TEST(CoverageDiffTest, CountsDeterministicChangesOnlyAndFlagsRegressions) {

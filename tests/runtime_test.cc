@@ -252,6 +252,50 @@ package main { parser = p; ingress = ig; deparser = dp; }
   EXPECT_EQ(reopened.Add(*program, finding), "");
 }
 
+TEST(CorpusManifestTest, RejectsWideIndicesWideEscapesAndMiscounts) {
+  const auto manifest = [](const std::string& key, const std::string& index,
+                           const std::string& total) {
+    return "{\n  \"version\": 1,\n  \"entries\": {\n    \"" + key +
+           "\": {\n      \"attributed\": \"\",\n      \"component\": \"c\",\n"
+           "      \"fingerprint\": \"0123456789abcdef0123456789abcdef\",\n"
+           "      \"kind\": \"semantic\",\n      \"method\": \"packet-test\",\n"
+           "      \"program_index\": " +
+           index + "\n    }\n  },\n  \"total\": " + total + "\n}\n";
+  };
+  CorpusManifest parsed;
+  std::string error;
+  const std::string valid = manifest("k", "2147483647", "1");
+  ASSERT_TRUE(ParseCorpusManifestJson(valid, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.Find("k")->program_index, 2147483647);
+  EXPECT_EQ(CorpusManifestJson(parsed), valid);
+  // 2^33 + 1 must not load as program 1.
+  EXPECT_FALSE(ParseCorpusManifestJson(manifest("k", "8589934593", "1"), &parsed, &error));
+  EXPECT_FALSE(ParseCorpusManifestJson(manifest("k", "2147483648", "1"), &parsed, &error));
+  // \u0141 must not load as the key "A".
+  EXPECT_FALSE(ParseCorpusManifestJson(manifest("\\u0141", "1", "1"), &parsed, &error));
+  EXPECT_FALSE(ParseCorpusManifestJson(manifest("k", "1", "2"), &parsed, &error));
+  EXPECT_FALSE(ParseCorpusManifestJson(valid + "{}", &parsed, &error));
+}
+
+TEST_F(CorpusRoundTrip, FailedWritesAreErrorsNotTruncatedReproducers) {
+  // A disk that fills mid-write must surface as an error, not as a silently
+  // truncated reproducer: the program file here is a full device.
+  fs::create_directories(dir_);
+  fs::create_symlink("/dev/full", fs::path(dir_) / "bmv2-emit-ignores-validity.p4");
+  CorpusStore store(dir_);
+  auto program = Parser::ParseString(R"(
+header H { bit<8> a; }
+struct Hdr { H h; }
+parser p(out Hdr hdr) { state start { pkt.extract(hdr.h); transition accept; } }
+control ig(inout Hdr hdr) { apply { } }
+control dp(in Hdr hdr) { apply { pkt.emit(hdr.h); } }
+package main { parser = p; ingress = ig; deparser = dp; }
+)");
+  Finding finding;
+  finding.attributed = BugId::kBmv2EmitIgnoresValidity;
+  EXPECT_THROW(store.Add(*program, finding), CompileError);
+}
+
 TEST_F(CorpusRoundTrip, CorruptStfFailsLoudly) {
   CorpusStore store(dir_);
   auto program = Parser::ParseString(R"(

@@ -20,6 +20,7 @@
 #include "src/obs/run_report.h"
 #include "src/obs/snapshot.h"
 #include "src/runtime/parallel_campaign.h"
+#include "src/support/file_io.h"
 
 namespace gauntlet {
 namespace {
@@ -96,8 +97,7 @@ TEST(SnapshotJsonTest, RoundTripsFlatFields) {
   EXPECT_EQ(parsed.tests_generated, 96u);
   EXPECT_EQ(parsed.findings, 5u);
   EXPECT_EQ(parsed.distinct_bugs, 2u);
-  // The embedded shards array and metrics object are balanced JSON the
-  // parser skips structurally; their presence must never break the flat
+  // The embedded shards array and metrics object must never break the flat
   // fields around them.
   EXPECT_NE(json.find("\"shards\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
@@ -122,6 +122,38 @@ TEST(SnapshotJsonTest, RejectsTornAndGarbageInput) {
   EXPECT_FALSE(ParseSnapshotJson("{\"version\": 99}", &parsed, &error));
   // Trailing junk after the object is corruption, not an extension.
   EXPECT_FALSE(ParseSnapshotJson(valid + "{", &parsed, &error));
+}
+
+TEST(SnapshotJsonTest, RoundTripsShardsAndEmbeddedMetricsVerbatim) {
+  Snapshot original = FilledSnapshot();
+  original.metrics_json = "{\n  \"version\": 2,\n  \"timing\": {\"a\": 1}\n}\n";
+  const std::string json = SnapshotJson(original);
+  Snapshot parsed;
+  std::string error;
+  ASSERT_TRUE(ParseSnapshotJson(json, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.metrics_json, original.metrics_json);
+  ASSERT_EQ(parsed.shards.size(), original.shards.size());
+  EXPECT_EQ(SnapshotJson(parsed), json);
+}
+
+TEST(SnapshotJsonTest, RejectsDeepNestingDuplicateKeysAndWideEscapes) {
+  Snapshot parsed;
+  std::string error;
+  // Balanced but absurdly deep: rejected by the depth cap, never recursed
+  // into until the stack runs out.
+  const std::string deep = std::string(100000, '[') + std::string(100000, ']');
+  EXPECT_FALSE(ParseSnapshotJson("{\"version\": 1, \"metrics\": " + deep + "}", &parsed, &error));
+  EXPECT_NE(error.find("nesting"), std::string::npos) << error;
+  EXPECT_FALSE(ParseSnapshotJson(std::string(100000, '['), &parsed, &error));
+  // Which of two "phase" values wins is not a question a reader answers.
+  EXPECT_FALSE(ParseSnapshotJson(
+      "{\"version\": 1, \"phase\": \"done\", \"phase\": \"testing\"}", &parsed, &error));
+  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
+  EXPECT_FALSE(ParseSnapshotJson("{\"version\": 1, \"role\": \"\\u0141\"}", &parsed, &error));
+  // A known field with the wrong type is corruption, not a default.
+  EXPECT_FALSE(ParseSnapshotJson("{\"version\": 1, \"pid\": \"7\"}", &parsed, &error));
+  EXPECT_FALSE(ParseSnapshotJson("{\"version\": 1, \"pid\": 9223372036854775808}", &parsed,
+                                 &error));
 }
 
 TEST(HeartbeatJsonTest, RoundTripsAndMatchesItsSnapshot) {
