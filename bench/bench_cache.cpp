@@ -5,7 +5,7 @@
 // checking three things:
 //
 //   1. every verdict is identical with and without the cache;
-//   2. the cache actually hit (nonzero blast/verdict counters);
+//   2. the cache actually hit (nonzero verdict or short-circuit counters);
 //   3. cached validation is not slower than uncached (best-of-N wall
 //      clock) — exits nonzero otherwise, so CI fails on a regression.
 //
@@ -107,7 +107,7 @@ int main() {
     std::fprintf(stderr, "FAIL: verdicts differ between cached and uncached validation\n");
     return 1;
   }
-  if (stats.blast_hits == 0 || stats.verdict_hits + stats.pairs_short_circuited == 0) {
+  if (stats.verdict_hits + stats.pairs_short_circuited == 0) {
     std::fprintf(stderr, "FAIL: the cache never hit on the multi-pass workload\n");
     return 1;
   }

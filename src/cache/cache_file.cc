@@ -3,6 +3,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "src/cache/verdict_cache.h"
 #include "src/support/bit_value.h"
@@ -15,59 +16,66 @@ namespace {
 
 constexpr const char* kMagic = "gauntletcache";
 // v2 added the "summaries" section (block summary key → canonical
-// semantics fingerprint). v1 files still load — they simply carry no
-// summary fingerprints.
-constexpr int kVersion = 2;
+// semantics fingerprint); v3 dropped the "blast" section of the retired
+// blast-template cache. v1 and v2 files still load: their templates are
+// parsed as strictly as ever and then dropped, and a v1 file simply carries
+// no summary fingerprints.
+constexpr int kVersion = 3;
 
-// Structural check of a loaded template, so a corrupt file fails the load
-// instead of sending replay out of bounds: events are -1 (fresh literal) or
-// a clause size, the counts match the streams, and every literal names a
-// tape slot that exists at the point it is read.
-bool TemplateIsConsistent(const BlastTemplate& tpl) {
-  uint64_t tape = 1 + uint64_t{tpl.input_count};
-  uint64_t fresh = 0;
-  uint64_t clauses = 0;
-  size_t lit = 0;
-  for (const int32_t event : tpl.events) {
-    if (event == -1) {
-      ++tape;
-      ++fresh;
-      continue;
+// Parses one v1/v2 blast-template line and drops it. The structural check
+// is the one the template replayer relied on — events are -1 (fresh
+// literal) or a clause size, the counts match the streams, and every
+// literal names a tape slot that exists at the point it is read — so a
+// corrupt old file still fails the load instead of loading silently.
+void SkipBlastTemplate(RecordReader& reader) {
+  reader.U64("fingerprint hi");
+  reader.U64("fingerprint lo");
+  uint64_t tape = 1 + uint64_t{reader.Read<uint32_t>("input count")};
+  const uint32_t fresh_count = reader.Read<uint32_t>("fresh count");
+  const uint32_t clause_count = reader.Read<uint32_t>("clause count");
+  std::vector<int32_t> events(reader.InlineCount("event count"));
+  for (int32_t& event : events) {
+    event = reader.Read<int32_t>("event");
+  }
+  std::vector<uint32_t> clause_lits(reader.InlineCount("clause literal count"));
+  for (uint32_t& lit : clause_lits) {
+    lit = reader.Read<uint32_t>("literal");
+  }
+  std::vector<uint32_t> outputs(reader.InlineCount("output count"));
+  for (uint32_t& output : outputs) {
+    output = reader.Read<uint32_t>("output");
+  }
+
+  const auto consistent = [&] {
+    uint64_t fresh = 0;
+    uint64_t clauses = 0;
+    size_t lit = 0;
+    for (const int32_t event : events) {
+      if (event == -1) {
+        ++tape;
+        ++fresh;
+        continue;
+      }
+      if (event < 0 || static_cast<size_t>(event) > clause_lits.size() - lit) {
+        return false;
+      }
+      ++clauses;
+      for (int32_t i = 0; i < event; ++i, ++lit) {
+        if ((clause_lits[lit] >> 1) >= tape) {
+          return false;
+        }
+      }
     }
-    if (event < 0 || static_cast<size_t>(event) > tpl.clause_lits.size() - lit) {
-      return false;
-    }
-    ++clauses;
-    for (int32_t i = 0; i < event; ++i, ++lit) {
-      if ((tpl.clause_lits[lit].code >> 1) >= tape) {
+    for (const uint32_t output : outputs) {
+      if ((output >> 1) >= tape) {
         return false;
       }
     }
+    return fresh == fresh_count && clauses == clause_count && lit == clause_lits.size();
+  };
+  if (!consistent()) {
+    reader.Fail("expected a consistent blast template");
   }
-  for (const TemplateLit output : tpl.outputs) {
-    if ((output.code >> 1) >= tape) {
-      return false;
-    }
-  }
-  return fresh == tpl.fresh_count && clauses == tpl.clause_count &&
-         lit == tpl.clause_lits.size();
-}
-
-void WriteTemplate(std::ostream& out, const Fingerprint& fp, const BlastTemplate& tpl) {
-  out << fp.hi << ' ' << fp.lo << ' ' << tpl.input_count << ' ' << tpl.fresh_count << ' '
-      << tpl.clause_count << ' ' << tpl.events.size();
-  for (const int32_t event : tpl.events) {
-    out << ' ' << event;
-  }
-  out << ' ' << tpl.clause_lits.size();
-  for (const TemplateLit lit : tpl.clause_lits) {
-    out << ' ' << lit.code;
-  }
-  out << ' ' << tpl.outputs.size();
-  for (const TemplateLit lit : tpl.outputs) {
-    out << ' ' << lit.code;
-  }
-  out << '\n';
 }
 
 void WriteVerdict(std::ostream& out, const Fingerprint& key, const VerdictCache::Entry& entry) {
@@ -88,16 +96,11 @@ void WriteVerdict(std::ostream& out, const Fingerprint& key, const VerdictCache:
 }  // namespace
 
 void SaveValidationCaches(const std::vector<ValidationCache*>& caches, std::ostream& out) {
-  // Merge per-worker state: templates dedup by fingerprint (bit-exact replay
-  // makes every copy identical in effect), verdicts dedup by (program, key).
-  std::map<Fingerprint, const BlastTemplate*> templates;
+  // Merge per-worker state: verdicts dedup by (program, key).
   std::map<uint64_t, std::map<Fingerprint, const VerdictCache::Entry*>> verdicts;
   std::map<Fingerprint, Fingerprint> summary_fps;
   for (ValidationCache* cache : caches) {
     cache->Seal();
-    for (const auto& [fp, tpl] : cache->blast().templates()) {
-      templates.emplace(fp, &tpl);
-    }
     for (const auto& [program_key, entries] : cache->stored_verdicts()) {
       auto& group = verdicts[program_key];
       for (const auto& [key, entry] : entries) {
@@ -111,10 +114,6 @@ void SaveValidationCaches(const std::vector<ValidationCache*>& caches, std::ostr
   }
 
   out << kMagic << ' ' << kVersion << '\n';
-  out << "blast " << templates.size() << '\n';
-  for (const auto& [fp, tpl] : templates) {
-    WriteTemplate(out, fp, *tpl);
-  }
   out << "programs " << verdicts.size() << '\n';
   for (const auto& [program_key, entries] : verdicts) {
     out << "prog " << program_key << ' ' << entries.size() << '\n';
@@ -138,34 +137,14 @@ void LoadValidationCache(std::istream& in, ValidationCache& cache) {
                        " is not supported (expected 1.." + std::to_string(kVersion) + ")");
   }
 
-  reader.RequireLine("blast section");
-  reader.ExpectWord("blast");
-  const uint64_t template_count = reader.U64("template count");
-  for (uint64_t i = 0; i < template_count; ++i) {
-    reader.RequireLine("blast template");
-    Fingerprint fp;
-    fp.hi = reader.U64("fingerprint hi");
-    fp.lo = reader.U64("fingerprint lo");
-    BlastTemplate tpl;
-    tpl.input_count = reader.Read<uint32_t>("input count");
-    tpl.fresh_count = reader.Read<uint32_t>("fresh count");
-    tpl.clause_count = reader.Read<uint32_t>("clause count");
-    tpl.events.resize(reader.InlineCount("event count"));
-    for (int32_t& event : tpl.events) {
-      event = reader.Read<int32_t>("event");
+  if (version < 3) {
+    reader.RequireLine("blast section");
+    reader.ExpectWord("blast");
+    const uint64_t template_count = reader.U64("template count");
+    for (uint64_t i = 0; i < template_count; ++i) {
+      reader.RequireLine("blast template");
+      SkipBlastTemplate(reader);
     }
-    tpl.clause_lits.resize(reader.InlineCount("clause literal count"));
-    for (TemplateLit& lit : tpl.clause_lits) {
-      lit.code = reader.Read<uint32_t>("literal");
-    }
-    tpl.outputs.resize(reader.InlineCount("output count"));
-    for (TemplateLit& output : tpl.outputs) {
-      output.code = reader.Read<uint32_t>("output");
-    }
-    if (!TemplateIsConsistent(tpl)) {
-      reader.Fail("expected a consistent blast template");
-    }
-    cache.blast().Insert(fp, std::move(tpl));
   }
 
   reader.RequireLine("programs section");

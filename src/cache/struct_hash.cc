@@ -96,8 +96,7 @@ Fingerprint StructHasher::Compute(SmtRef ref) {
     case SmtOp::kVar:
     case SmtOp::kBoolVar: {
       // By name, not var_id: identically named inputs in different contexts
-      // must agree (that is what lets one worker's cache span programs and
-      // lets testgen share fragments with the validator).
+      // must agree (that is what lets persisted fingerprints span runs).
       const Fingerprint name = FingerprintOfString(context_.VarName(node.var_id));
       fp = Fold(Fold(fp, name.hi), name.lo);
       break;
@@ -108,7 +107,7 @@ Fingerprint StructHasher::Compute(SmtRef ref) {
     default:
       break;
   }
-  if (mode_ == Mode::kCanonical && IsCommutative(node.op) && node.args.size() == 2) {
+  if (IsCommutative(node.op) && node.args.size() == 2) {
     Fingerprint a = Hash(node.args[0]);
     Fingerprint b = Hash(node.args[1]);
     if (b < a) {

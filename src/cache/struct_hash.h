@@ -17,7 +17,7 @@ namespace gauntlet {
 // whose sub-DAGs were already processed — in an earlier query, an earlier
 // pass pair, or an earlier program on the same campaign worker. A
 // fingerprint gives those sub-DAGs a context-independent identity the
-// memoization layers (blast_cache, verdict_cache) can key on.
+// memoization layers (verdict_cache, summary_cache) can key on.
 //
 // Fingerprints are 128 bits: the tables they key can hold millions of
 // entries over a long campaign, and a collision silently reuses the wrong
@@ -49,27 +49,19 @@ Fingerprint CombineFingerprints(const Fingerprint& a, const Fingerprint& b);
 // Fingerprint of a raw string (output leaf names, block roles).
 Fingerprint FingerprintOfString(const std::string& text);
 
-// Computes fingerprints for the nodes of one SmtContext, memoized per node
-// index. Free variables are hashed by *name* and width — not by var_id — so
-// structurally identical sub-DAGs in different contexts (different programs
-// on one campaign worker, the TV context vs. the testgen context) agree on
-// their fingerprints.
+// Computes canonical fingerprints for the nodes of one SmtContext, memoized
+// per node index. Free variables are hashed by *name* and width — not by
+// var_id — so structurally identical sub-DAGs in different contexts
+// (different programs on one campaign worker, the TV context vs. the
+// testgen context) agree on their fingerprints.
 //
-// Two modes:
-//   * kExact — child order preserved. Two nodes share an exact fingerprint
-//     iff they would bit-blast to the very same gate network, which is what
-//     the blast cache needs to replay recorded CNF fragments bit-for-bit.
-//   * kCanonical — commutative operators (add, mul, and, or, xor, eq, iff,
-//     bool and/or) hash their operands order-independently, so `a + b` and
-//     `b + a` share a fingerprint. This is the *semantic* identity the
-//     verdict cache keys on: canonical equality implies input-output
-//     equivalence, but not an identical clause stream.
+// Commutative operators (add, mul, and, or, xor, eq, iff, bool and/or)
+// hash their operands order-independently, so `a + b` and `b + a` share a
+// fingerprint. This is the *semantic* identity the verdict and summary
+// caches key on: fingerprint equality implies input-output equivalence.
 class StructHasher {
  public:
-  enum class Mode { kExact, kCanonical };
-
-  StructHasher(const SmtContext& context, Mode mode)
-      : context_(context), mode_(mode) {}
+  explicit StructHasher(const SmtContext& context) : context_(context) {}
 
   Fingerprint Hash(SmtRef ref);
 
@@ -77,7 +69,6 @@ class StructHasher {
   Fingerprint Compute(SmtRef ref);
 
   const SmtContext& context_;
-  Mode mode_;
   std::vector<Fingerprint> memo_;  // by node index; {0,0} = not yet hashed
 };
 

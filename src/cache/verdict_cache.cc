@@ -8,9 +8,6 @@
 namespace gauntlet {
 
 void CacheStats::Merge(const CacheStats& other) {
-  blast_hits += other.blast_hits;
-  blast_misses += other.blast_misses;
-  clauses_reused += other.clauses_reused;
   verdict_hits += other.verdict_hits;
   verdict_misses += other.verdict_misses;
   queries_skipped += other.queries_skipped;
@@ -22,9 +19,6 @@ void CacheStats::Merge(const CacheStats& other) {
 
 void CacheStats::RecordMetrics(MetricsRegistry& registry) const {
   const auto kTiming = MetricScope::kTiming;
-  registry.Count("cache/blast_hits", kTiming, blast_hits);
-  registry.Count("cache/blast_misses", kTiming, blast_misses);
-  registry.Count("cache/clauses_reused", kTiming, clauses_reused);
   registry.Count("cache/pairs_short_circuited", kTiming, pairs_short_circuited);
   registry.Count("cache/queries_skipped", kTiming, queries_skipped);
   registry.Count("cache/summary_fps_reused", kTiming, summary_fps_reused);
@@ -102,9 +96,6 @@ void ValidationCache::PreloadVerdict(uint64_t program_key, const Fingerprint& ke
 
 CacheStats ValidationCache::Stats() const {
   CacheStats stats;
-  stats.blast_hits = blast_.hits();
-  stats.blast_misses = blast_.misses();
-  stats.clauses_reused = blast_.clauses_reused();
   stats.verdict_hits = verdicts_.hits();
   stats.verdict_misses = verdicts_.misses();
   stats.queries_skipped = queries_skipped_;

@@ -1,10 +1,10 @@
 #ifndef SRC_CACHE_VERDICT_CACHE_H_
 #define SRC_CACHE_VERDICT_CACHE_H_
 
+#include <map>
 #include <string>
 #include <unordered_map>
 
-#include "src/cache/blast_cache.h"
 #include "src/cache/struct_hash.h"
 #include "src/cache/summary_cache.h"
 #include "src/tv/validator.h"
@@ -19,9 +19,10 @@ class MetricsRegistry;
 // campaign report (hit patterns depend on work scheduling, reports must
 // stay bit-identical for any --jobs value).
 struct CacheStats {
-  uint64_t blast_hits = 0;          // gate nodes replayed from a template
-  uint64_t blast_misses = 0;        // gate nodes recorded for the first time
-  uint64_t clauses_reused = 0;      // clauses instantiated from templates
+  // Retired with the blast-template cache: always 0, kept for callers that
+  // still read them. Nothing records, merges or serializes them.
+  uint64_t blast_hits = 0;
+  uint64_t blast_misses = 0;
   uint64_t verdict_hits = 0;        // pass pairs answered from the cache
   uint64_t verdict_misses = 0;      // pass pairs that ran their queries
   uint64_t queries_skipped = 0;     // SAT queries avoided by verdict hits
@@ -104,12 +105,10 @@ class VerdictCache {
 Fingerprint SemanticsFingerprint(StructHasher& hasher, const BlockSemantics& semantics);
 
 // Everything one campaign worker (or one CLI invocation) threads through
-// validation and test generation. Blast templates are worker-lifetime —
-// replay is bit-exact, so sharing them across programs never perturbs a
-// result. Verdict entries are scoped to one program via BeginProgram():
-// cross-program verdict reuse would make a worker's answers depend on which
-// programs it happened to process, and parallel campaign reports must stay
-// bit-identical for any scheduling.
+// validation and test generation. Verdict entries are scoped to one
+// program via BeginProgram(): cross-program verdict reuse would make a
+// worker's answers depend on which programs it happened to process, and
+// parallel campaign reports must stay bit-identical for any scheduling.
 //
 // Cross-run persistence (src/cache/cache_file) keeps that scoping: stored
 // verdicts are grouped under a caller-supplied *program key* (a content hash
@@ -118,7 +117,6 @@ Fingerprint SemanticsFingerprint(StructHasher& hasher, const BlockSemantics& sem
 // previous run learned about *that program*, never from a neighbour.
 class ValidationCache {
  public:
-  BlastCache& blast() { return blast_; }
   VerdictCache& verdicts() { return verdicts_; }
   SummaryCache& summaries() { return summaries_; }
 
@@ -150,7 +148,6 @@ class ValidationCache {
  private:
   void FlushProgramVerdicts();
 
-  BlastCache blast_;
   VerdictCache verdicts_;
   SummaryCache summaries_;
   uint64_t current_program_key_ = 0;

@@ -13,7 +13,9 @@ namespace gauntlet {
 namespace {
 
 constexpr const char* kMagic = "gauntletshard";
-constexpr int kVersion = 1;
+// v2 rewrote the "cache" line: the blast-template counters went, the
+// block-summary counters came. v1 results are rejected.
+constexpr int kVersion = 2;
 
 }  // namespace
 
@@ -91,9 +93,9 @@ void SaveShardResult(const ShardResult& result, std::ostream& out) {
     }
   }
   const CacheStats& stats = result.cache_stats;
-  out << "cache " << stats.blast_hits << ' ' << stats.blast_misses << ' '
-      << stats.clauses_reused << ' ' << stats.verdict_hits << ' ' << stats.verdict_misses
-      << ' ' << stats.queries_skipped << ' ' << stats.pairs_short_circuited << '\n';
+  out << "cache " << stats.verdict_hits << ' ' << stats.verdict_misses << ' '
+      << stats.queries_skipped << ' ' << stats.pairs_short_circuited << ' ' << stats.summary_hits
+      << ' ' << stats.summary_misses << ' ' << stats.summary_fps_reused << '\n';
 }
 
 ShardResult LoadShardResult(std::istream& in) {
@@ -257,13 +259,13 @@ ShardResult LoadShardResult(std::istream& in) {
   reader.RequireLine("cache counters");
   reader.ExpectWord("cache");
   CacheStats& stats = result.cache_stats;
-  stats.blast_hits = reader.U64("blast hits");
-  stats.blast_misses = reader.U64("blast misses");
-  stats.clauses_reused = reader.U64("clauses reused");
   stats.verdict_hits = reader.U64("verdict hits");
   stats.verdict_misses = reader.U64("verdict misses");
   stats.queries_skipped = reader.U64("queries skipped");
   stats.pairs_short_circuited = reader.U64("pairs short-circuited");
+  stats.summary_hits = reader.U64("summary hits");
+  stats.summary_misses = reader.U64("summary misses");
+  stats.summary_fps_reused = reader.U64("summary fingerprints reused");
   reader.Finish();
   return result;
 }

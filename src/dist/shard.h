@@ -52,7 +52,7 @@ struct ShardResult {
   CacheStats cache_stats;
 };
 
-// Versioned line-oriented serialization ("gauntletshard 1", hex-encoded
+// Versioned line-oriented serialization ("gauntletshard 2", hex-encoded
 // strings — the src/cache/cache_file format family). Findings round-trip
 // without their repro_test packets: corpus triples are written shard-side,
 // so the coordinator needs findings only for the merged report and the

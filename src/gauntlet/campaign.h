@@ -68,8 +68,7 @@ struct CampaignOptions {
   std::vector<std::string> targets;
   // Attribute findings to seeded faults via delta-debugging reruns.
   bool attribute_findings = true;
-  // Memoize bit-blasted fragments and equivalence verdicts across the
-  // programs a worker processes (src/cache/). Replay is bit-exact, so the
+  // Memoize equivalence verdicts and block summaries (src/cache/). The
   // report is identical either way; `gauntlet ... --no-cache` turns it off.
   bool use_cache = true;
   // When the campaign targets exactly one back end, shape the generated

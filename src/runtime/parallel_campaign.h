@@ -34,8 +34,9 @@ struct ParallelCampaignOptions {
   // When non-empty (and campaign.use_cache is on), warm-starts every worker
   // from this serialized cache (src/cache/cache_file) and rewrites it with
   // the merged worker caches after the run — repeated CI campaigns reuse
-  // blast templates and per-program verdicts across processes. Every worker
-  // loads the identical file, so reports stay bit-identical for any --jobs.
+  // per-program verdicts and block-summary fingerprints across processes.
+  // Every worker loads the identical file, so reports stay bit-identical
+  // for any --jobs.
   std::string cache_file;
   // When non-empty, the run publishes live telemetry into this directory
   // (src/obs/snapshot.h): an atomic snapshot.json + heartbeat.json every
@@ -60,9 +61,9 @@ struct ParallelCampaignOptions {
 // --jobs value, and `--jobs 1` *is* the serial baseline.
 //
 // Caching (campaign.use_cache): each worker owns one ValidationCache, so
-// workers never contend and — because blast-template replay is bit-exact
-// and verdict entries are program-scoped — the report stays bit-identical
-// for any scheduling and any jobs count, cache on or off.
+// workers never contend and — because verdict entries are program-scoped —
+// the report stays bit-identical for any scheduling and any jobs count,
+// cache on or off.
 class ParallelCampaign {
  public:
   explicit ParallelCampaign(ParallelCampaignOptions options)

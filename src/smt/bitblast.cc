@@ -1,104 +1,33 @@
 #include "src/smt/bitblast.h"
 
-#include "src/cache/blast_cache.h"
+#include <algorithm>
 
 namespace gauntlet {
 
-BitBlaster::BitBlaster(const SmtContext& context, SatSolver& solver, BlastCache* cache)
-    : context_(context), solver_(solver), cache_(cache) {
+BitBlaster::BitBlaster(const SmtContext& context, SatSolver& solver, bool strash)
+    : context_(context), solver_(solver), strash_(strash) {
   true_lit_ = Lit(solver_.NewVar(), false);
   solver_.AddClause({true_lit_});
-  if (cache_ != nullptr) {
-    // Exact mode: the cache replays recorded clause streams, which is only
-    // sound for nodes that would lower to the very same gate network —
-    // commutative normalization belongs to the semantic (verdict) layer.
-    hasher_ = std::make_unique<StructHasher>(context_, StructHasher::Mode::kExact);
-  }
 }
 
-BitBlaster::~BitBlaster() = default;
-
-Lit BitBlaster::FreshLit() {
-  const Lit lit(solver_.NewVar(), false);
-  if (recording_) {
-    recording_template_->events.push_back(-1);
-    ++recording_template_->fresh_count;
-    RegisterRecordedLit(lit);
-  }
-  return lit;
+size_t BitBlaster::GateKeyHash::operator()(const GateKey& key) const {
+  uint64_t h = ((uint64_t{key.a} << 32) | key.b) * 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 29) ^ key.c) * 0xbf58476d1ce4e5b9ULL;
+  return static_cast<size_t>(h ^ (h >> 32));
 }
 
-void BitBlaster::EmitClause(std::vector<Lit> lits) {
-  if (recording_) {
-    recording_template_->events.push_back(static_cast<int32_t>(lits.size()));
-    ++recording_template_->clause_count;
-    for (const Lit lit : lits) {
-      recording_template_->clause_lits.push_back(TemplateLit{MapRecordedLit(lit)});
-    }
+Lit BitBlaster::GateOutput(const GateKey& key, bool* minted) {
+  *minted = true;
+  if (!strash_) {
+    return Lit(solver_.NewVar(), false);
   }
-  solver_.AddClause(std::move(lits));
-}
-
-void BitBlaster::StartRecording(const std::vector<Lit>& inputs) {
-  recording_ = true;
-  recording_template_ = std::make_unique<BlastTemplate>();
-  recording_template_->input_count = static_cast<uint32_t>(inputs.size());
-  recording_next_slot_ = 0;
-  recording_slots_.clear();
-  RegisterRecordedLit(true_lit_);  // slot 0
-  for (const Lit input : inputs) {
-    RegisterRecordedLit(input);
+  auto [it, inserted] = gates_.try_emplace(key);
+  if (inserted) {
+    it->second = Lit(solver_.NewVar(), false);
+  } else {
+    *minted = false;
   }
-}
-
-void BitBlaster::RegisterRecordedLit(Lit lit) {
-  // First registration wins: when two tape slots carry the same literal
-  // (shared bits across children, a constant input equal to true/false),
-  // mapping every later reference through the first slot is sound because
-  // replay binds both slots to equally shared literals — the sharing
-  // pattern is fixed by the exact structural fingerprint.
-  const uint32_t slot = recording_next_slot_++;
-  recording_slots_.emplace(lit.var(), (slot << 1) | (lit.negated() ? 1u : 0u));
-}
-
-uint32_t BitBlaster::MapRecordedLit(Lit lit) const {
-  auto it = recording_slots_.find(lit.var());
-  GAUNTLET_BUG_CHECK(it != recording_slots_.end(),
-                     "recorded clause references a literal outside the node");
-  const uint32_t slot = it->second >> 1;
-  const bool base_negated = (it->second & 1) != 0;
-  return (slot << 1) | ((base_negated != lit.negated()) ? 1u : 0u);
-}
-
-std::vector<Lit> BitBlaster::ReplayTemplate(const BlastTemplate& tpl,
-                                            const std::vector<Lit>& inputs) {
-  GAUNTLET_BUG_CHECK(inputs.size() == tpl.input_count, "blast template arity mismatch");
-  std::vector<Lit> tape;
-  tape.reserve(1 + inputs.size() + tpl.fresh_count);
-  tape.push_back(true_lit_);
-  tape.insert(tape.end(), inputs.begin(), inputs.end());
-  const auto lit_of = [&tape](TemplateLit ref) {
-    const Lit lit = tape[ref.code >> 1];
-    return (ref.code & 1) != 0 ? ~lit : lit;
-  };
-  size_t lit_pos = 0;
-  for (const int32_t event : tpl.events) {
-    if (event < 0) {
-      tape.push_back(Lit(solver_.NewVar(), false));
-      continue;
-    }
-    std::vector<Lit> clause(static_cast<size_t>(event));
-    for (int32_t i = 0; i < event; ++i) {
-      clause[static_cast<size_t>(i)] = lit_of(tpl.clause_lits[lit_pos++]);
-    }
-    solver_.AddClause(std::move(clause));
-  }
-  std::vector<Lit> outputs;
-  outputs.reserve(tpl.outputs.size());
-  for (const TemplateLit out : tpl.outputs) {
-    outputs.push_back(lit_of(out));
-  }
-  return outputs;
+  return it->second;
 }
 
 Lit BitBlaster::MkAnd(Lit a, Lit b) {
@@ -117,14 +46,18 @@ Lit BitBlaster::MkAnd(Lit a, Lit b) {
   if (a == ~b) {
     return FalseLit();
   }
-  const Lit out = FreshLit();
-  EmitClause({~a, ~b, out});
-  EmitClause({a, ~out});
-  EmitClause({b, ~out});
+  if (strash_ && b.code < a.code) {
+    std::swap(a, b);
+  }
+  bool minted = false;
+  const Lit out = GateOutput({a.code, b.code, kAndTag}, &minted);
+  if (minted) {
+    solver_.AddClause({~a, ~b, out});
+    solver_.AddClause({a, ~out});
+    solver_.AddClause({b, ~out});
+  }
   return out;
 }
-
-Lit BitBlaster::MkOr(Lit a, Lit b) { return ~MkAnd(~a, ~b); }
 
 Lit BitBlaster::MkXor(Lit a, Lit b) {
   if (a == FalseLit()) {
@@ -145,12 +78,26 @@ Lit BitBlaster::MkXor(Lit a, Lit b) {
   if (a == ~b) {
     return TrueLit();
   }
-  const Lit out = FreshLit();
-  EmitClause({~a, ~b, ~out});
-  EmitClause({a, b, ~out});
-  EmitClause({~a, b, out});
-  EmitClause({a, ~b, out});
-  return out;
+  // Strash key: both operands positive (their negations flip the output),
+  // in literal order.
+  bool flip = false;
+  if (strash_) {
+    flip = a.negated() != b.negated();
+    a = Lit(a.var(), false);
+    b = Lit(b.var(), false);
+    if (b.code < a.code) {
+      std::swap(a, b);
+    }
+  }
+  bool minted = false;
+  const Lit out = GateOutput({a.code, b.code, kXorTag}, &minted);
+  if (minted) {
+    solver_.AddClause({~a, ~b, ~out});
+    solver_.AddClause({a, b, ~out});
+    solver_.AddClause({~a, b, out});
+    solver_.AddClause({a, ~b, out});
+  }
+  return flip ? ~out : out;
 }
 
 Lit BitBlaster::MkMux(Lit cond, Lit then_lit, Lit else_lit) {
@@ -163,12 +110,29 @@ Lit BitBlaster::MkMux(Lit cond, Lit then_lit, Lit else_lit) {
   if (then_lit == else_lit) {
     return then_lit;
   }
-  const Lit out = FreshLit();
-  EmitClause({~cond, ~then_lit, out});
-  EmitClause({~cond, then_lit, ~out});
-  EmitClause({cond, ~else_lit, out});
-  EmitClause({cond, else_lit, ~out});
-  return out;
+  // Strash key: a positive condition (a negated one swaps the branches) and
+  // a positive then-branch (negating both branches negates the output).
+  bool flip = false;
+  if (strash_) {
+    if (cond.negated()) {
+      cond = ~cond;
+      std::swap(then_lit, else_lit);
+    }
+    if (then_lit.negated()) {
+      then_lit = ~then_lit;
+      else_lit = ~else_lit;
+      flip = true;
+    }
+  }
+  bool minted = false;
+  const Lit out = GateOutput({cond.code, then_lit.code, else_lit.code}, &minted);
+  if (minted) {
+    solver_.AddClause({~cond, ~then_lit, out});
+    solver_.AddClause({~cond, then_lit, ~out});
+    solver_.AddClause({cond, ~else_lit, out});
+    solver_.AddClause({cond, else_lit, ~out});
+  }
+  return flip ? ~out : out;
 }
 
 std::vector<Lit> BitBlaster::AddVectors(const std::vector<Lit>& a, const std::vector<Lit>& b,
@@ -194,7 +158,36 @@ std::vector<Lit> BitBlaster::NegateVector(const std::vector<Lit>& a) {
   return AddVectors(inverted, zero, TrueLit());
 }
 
+namespace {
+
+size_t ConstantBits(const std::vector<Lit>& bits, Lit true_lit) {
+  return static_cast<size_t>(std::count_if(bits.begin(), bits.end(), [true_lit](Lit bit) {
+    return bit.var() == true_lit.var();
+  }));
+}
+
+}  // namespace
+
 std::vector<Lit> BitBlaster::MulVectors(const std::vector<Lit>& a, const std::vector<Lit>& b) {
+  // Shift-add rows are not symmetric in the operands, so strash alone
+  // cannot merge x*y with y*x. Strashing solvers therefore order the
+  // operands canonically: the one with more constant bits selects the rows
+  // (a constant-false row adds nothing), ties broken by literal codes.
+  if (strash_) {
+    const size_t a_constants = ConstantBits(a, true_lit_);
+    const size_t b_constants = ConstantBits(b, true_lit_);
+    const auto codes_less = [](const std::vector<Lit>& x, const std::vector<Lit>& y) {
+      return std::lexicographical_compare(x.begin(), x.end(), y.begin(), y.end(),
+                                          [](Lit l, Lit r) { return l.code < r.code; });
+    };
+    if (a_constants > b_constants || (a_constants == b_constants && codes_less(b, a))) {
+      return MulRows(b, a);
+    }
+  }
+  return MulRows(a, b);
+}
+
+std::vector<Lit> BitBlaster::MulRows(const std::vector<Lit>& a, const std::vector<Lit>& b) {
   const size_t width = a.size();
   std::vector<Lit> acc(width, FalseLit());
   for (size_t i = 0; i < width; ++i) {
@@ -260,8 +253,16 @@ Lit BitBlaster::EqVectors(const std::vector<Lit>& a, const std::vector<Lit>& b) 
   return result;
 }
 
-std::vector<Lit> BitBlaster::ConstructGates(const SmtNode& node,
-                                            const std::vector<std::vector<Lit>>& kids) {
+std::vector<Lit> BitBlaster::BlastGateNode(const SmtNode& node) {
+  std::vector<std::vector<Lit>> kids;
+  kids.reserve(node.args.size());
+  for (const SmtRef& arg : node.args) {
+    if (context_.IsBool(arg)) {
+      kids.push_back({BlastBool(arg)});
+    } else {
+      kids.push_back(BlastVector(arg));
+    }
+  }
   std::vector<Lit> bits;
   switch (node.op) {
     case SmtOp::kAdd:
@@ -338,43 +339,8 @@ std::vector<Lit> BitBlaster::ConstructGates(const SmtNode& node,
       bits = {MkMux(kids[0][0], kids[1][0], kids[2][0])};
       break;
     default:
-      GAUNTLET_BUG_CHECK(false, "ConstructGates on a wiring/leaf node");
+      GAUNTLET_BUG_CHECK(false, "BlastGateNode on a wiring/leaf node");
   }
-  return bits;
-}
-
-std::vector<Lit> BitBlaster::BlastGateNode(SmtRef ref, const SmtNode& node) {
-  // Children first (outside any recording): templates are node-local, so a
-  // child's own clauses belong to the child's template, and a child shared
-  // with an earlier node comes straight from the per-solve memo.
-  std::vector<std::vector<Lit>> kids;
-  kids.reserve(node.args.size());
-  for (const SmtRef& arg : node.args) {
-    if (context_.IsBool(arg)) {
-      kids.push_back({BlastBool(arg)});
-    } else {
-      kids.push_back(BlastVector(arg));
-    }
-  }
-  if (cache_ == nullptr) {
-    return ConstructGates(node, kids);
-  }
-  std::vector<Lit> inputs;
-  for (const std::vector<Lit>& kid : kids) {
-    inputs.insert(inputs.end(), kid.begin(), kid.end());
-  }
-  const Fingerprint fp = hasher_->Hash(ref);
-  if (const BlastTemplate* tpl = cache_->Find(fp)) {
-    return ReplayTemplate(*tpl, inputs);
-  }
-  StartRecording(inputs);
-  std::vector<Lit> bits = ConstructGates(node, kids);
-  for (const Lit bit : bits) {
-    recording_template_->outputs.push_back(TemplateLit{MapRecordedLit(bit)});
-  }
-  recording_ = false;
-  cache_->Insert(fp, std::move(*recording_template_));
-  recording_template_.reset();
   return bits;
 }
 
@@ -405,8 +371,7 @@ std::vector<Lit> BitBlaster::BlastVector(SmtRef ref) {
       bits = it->second;
       break;
     }
-    // Pure bit wiring: no gates, no clauses — cheaper to rebuild than to
-    // look up, so these stay outside the blast cache.
+    // Pure bit wiring: no gates, no clauses.
     case SmtOp::kNot: {
       const std::vector<Lit> a = BlastVector(node.args[0]);
       bits.resize(a.size());
@@ -447,7 +412,7 @@ std::vector<Lit> BitBlaster::BlastVector(SmtRef ref) {
     case SmtOp::kShl:
     case SmtOp::kShr:
     case SmtOp::kIte:
-      bits = BlastGateNode(ref, node);
+      bits = BlastGateNode(node);
       break;
     default:
       GAUNTLET_BUG_CHECK(false, "BlastVector on boolean-sorted node");
@@ -485,7 +450,7 @@ Lit BitBlaster::BlastBool(SmtRef ref) {
     case SmtOp::kBoolOr:
     case SmtOp::kBoolEq:
     case SmtOp::kBoolIte:
-      lit = BlastGateNode(ref, node)[0];
+      lit = BlastGateNode(node)[0];
       break;
     default:
       GAUNTLET_BUG_CHECK(false, "BlastBool on bit-vector-sorted node");

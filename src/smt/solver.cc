@@ -8,8 +8,16 @@
 namespace gauntlet {
 
 namespace {
-// Bucket edges (microseconds) for the per-solve latency histogram.
-const std::vector<uint64_t> kSolveMicrosBounds = {100, 1000, 10000, 100000, 1000000};
+// Bucket edges (microseconds) for the per-solve latency histogram: powers
+// of two from 16 us to 2^24 us (~17 s), so both the sub-millisecond bulk
+// and a multi-second tail query land in buckets of their own.
+const std::vector<uint64_t> kSolveMicrosBounds = [] {
+  std::vector<uint64_t> bounds;
+  for (uint64_t bound = 16; bound <= (uint64_t{1} << 24); bound <<= 1) {
+    bounds.push_back(bound);
+  }
+  return bounds;
+}();
 }  // namespace
 
 BitValue SmtModel::BitOf(const std::string& name) const {
@@ -32,7 +40,7 @@ void SmtSolver::EncodePending() {
   if (sat_ == nullptr) {
     sat_ = std::make_unique<SatSolver>();
     sat_->set_trail_reuse(incremental_);
-    blaster_ = std::make_unique<BitBlaster>(context_, *sat_, blast_cache_);
+    blaster_ = std::make_unique<BitBlaster>(context_, *sat_, strash_);
     blasted_count_ = 0;
   }
   for (; blasted_count_ < constraints_.size(); ++blasted_count_) {

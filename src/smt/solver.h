@@ -57,15 +57,14 @@ class SmtSolver {
     blasted_count_ = 0;
   }
 
-  // Attaches a cross-solve bit-blast memo (src/cache/): sub-DAGs another
-  // solver already lowered are replayed from their recorded CNF fragments
-  // instead of re-blasted. Replay is bit-exact, so the produced SAT
-  // instance — and therefore every Check result and model — is identical
-  // with or without a cache. Must be set before the first Check (or after
-  // Reset); the cache must outlive the solver.
-  void set_blast_cache(BlastCache* cache) {
-    GAUNTLET_BUG_CHECK(blaster_ == nullptr, "set_blast_cache after encoding started");
-    blast_cache_ = cache;
+  // Turns on structural hashing of the bit-blasted gates (see BitBlaster):
+  // smaller CNF and far less SAT work on miters of shared logic, but a
+  // different encoding, so a different model on kSat. Only for solvers
+  // whose callers read nothing but the SAT/UNSAT answer; the default is the
+  // verbatim encoding. Must be set before the first Check (or after Reset).
+  void set_strash(bool enabled) {
+    GAUNTLET_BUG_CHECK(blaster_ == nullptr, "set_strash after encoding started");
+    strash_ = enabled;
   }
 
   // Enables/disables assumption-trail reuse in the SAT core (the
@@ -132,7 +131,7 @@ class SmtSolver {
 
   SmtContext& context_;
   std::vector<SmtRef> constraints_;
-  BlastCache* blast_cache_ = nullptr;
+  bool strash_ = false;
   size_t blasted_count_ = 0;  // prefix of constraints_ already encoded
   uint64_t conflict_limit_ = 0;
   uint64_t time_limit_ms_ = 0;

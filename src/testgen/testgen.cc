@@ -3,7 +3,6 @@
 #include <functional>
 #include <set>
 
-#include "src/cache/verdict_cache.h"
 #include "src/obs/coverage.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -143,7 +142,8 @@ TableConfig TablesFromModel(const SmtModel& model, const std::vector<TableInfo>&
 
 }  // namespace
 
-std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, ValidationCache* cache,
+std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program,
+                                                    ValidationCache* /*cache*/,
                                                     PathCoverageSummary* coverage) const {
   const PackageBlock* parser_block = program.FindBlock(BlockRole::kParser);
   const PackageBlock* deparser_block = program.FindBlock(BlockRole::kDeparser);
@@ -217,10 +217,10 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
   // enumeration; every path probe below is an assumption solve that reuses
   // the encoding, all learned clauses, and (with incremental solving on)
   // the shared assumption-prefix trail of the previous probe.
+  // The probes only decide feasibility (see the DFS below), so the gates
+  // are strashed.
   SmtSolver solver(ctx);
-  if (cache != nullptr) {
-    solver.set_blast_cache(&cache->blast());
-  }
+  solver.set_strash(true);
   solver.set_incremental(options_.incremental_solving);
   solver.set_conflict_limit(100000);
   solver.set_time_limit_ms(options_.query_time_limit_ms);
@@ -345,10 +345,9 @@ std::vector<PacketTest> TestCaseGenerator::Generate(const Program& program, Vali
   // expected outputs it yields are byte-identical whether or not the probe
   // solver above reused trails. (The probe solver's own models cannot be
   // used here: its search history differs between the two modes.)
+  // It also keeps the verbatim (unstrashed) encoding: its models are the
+  // generated packets and table entries.
   SmtSolver witness_solver(ctx);
-  if (cache != nullptr) {
-    witness_solver.set_blast_cache(&cache->blast());
-  }
   witness_solver.set_conflict_limit(100000);
   witness_solver.set_time_limit_ms(options_.query_time_limit_ms);
   for (const SmtRef& constraint : hard) {

@@ -85,11 +85,9 @@ class TestCaseGenerator {
   // UnsupportedError for constructs outside the supported fragment
   // (paper §8); callers treat that as "no tests for this program".
   //
-  // With a `cache` (src/cache/), the path-probe solver reuses bit-blasted
-  // fragments recorded by earlier solves — including the translation
-  // validator's, since fingerprints key on variable names and the source
-  // program's block semantics are shared between the two techniques.
-  // Replay is bit-exact, so the generated tests are identical either way.
+  // `cache` is accepted so campaign callers can thread one worker cache
+  // through both techniques, but test generation currently memoizes
+  // nothing in it: the generated tests never depend on it.
   //
   // With a non-null `coverage`, fills in the path/table scenario summary
   // and records the "path-shape" / "table-config" coverage domains into the

@@ -1062,7 +1062,7 @@ int Usage(std::FILE* out) {
                "--bug names come from `gauntlet bugs`; --jobs must be >= 1\n"
                "validation memoization is on by default: --no-cache disables it,\n"
                "--cache-stats prints hit/reuse counters to stderr\n"
-               "--cache-file persists blast templates + per-program verdicts across\n"
+               "--cache-file persists per-program verdicts + summary fingerprints across\n"
                "runs (campaign reads and rewrites it; replay only validates it)\n"
                "--no-budgets (validate/testgen/fuzz/campaign) lifts the wall-clock\n"
                "solver budgets so reports do not depend on machine load\n"

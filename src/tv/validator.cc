@@ -218,10 +218,12 @@ TvPassResult CompareSemantics(SmtContext& ctx, const VersionSemantics& before,
   // and wall-clock budgets keep pathological instances (wide-multiplier
   // equivalence) from stalling a campaign; exhaustion is reported like a
   // missing simulation relation (a pass we could not validate, §8).
+  // Only the SAT/UNSAT answer is read, so the gates are strashed: a pass
+  // that rewrote an expression into bit-identical logic (a slice as
+  // mask-or-shift instead of concat-of-extracts) leaves a miter whose two
+  // sides share every gate instead of two copies of a multiplier.
   SmtSolver solver(ctx);
-  if (cache != nullptr) {
-    solver.set_blast_cache(&cache->blast());
-  }
+  solver.set_strash(true);
   solver.set_conflict_limit(options.conflict_budget);
   solver.set_time_limit_ms(options.query_time_limit_ms);
   solver.Assert(any_difference);
@@ -238,11 +240,9 @@ TvPassResult CompareSemantics(SmtContext& ctx, const VersionSemantics& before,
   }
 
   // Query 2: does the disagreement survive pinning every undefined value to
-  // zero? If not, the pass only reshuffled undefined behavior.
+  // zero? If not, the pass only reshuffled undefined behavior. Its model is
+  // the reported counterexample, so this solver keeps the verbatim encoding.
   SmtSolver pinned_solver(ctx);
-  if (cache != nullptr) {
-    pinned_solver.set_blast_cache(&cache->blast());
-  }
   pinned_solver.set_conflict_limit(options.conflict_budget);
   pinned_solver.set_time_limit_ms(options.query_time_limit_ms);
   pinned_solver.Assert(any_difference);
@@ -292,7 +292,7 @@ TvPassResult TranslationValidator::CompareVersions(const Program& before, const 
   const VersionSemantics after_sem = InterpretVersion(interpreter, after, cache, options);
   std::optional<StructHasher> canonical;
   if (cache != nullptr) {
-    canonical.emplace(ctx, StructHasher::Mode::kCanonical);
+    canonical.emplace(ctx);
   }
   TvPassResult result = CompareSemantics(ctx, before_sem, after_sem, pass_name, options, cache,
                                          canonical.has_value() ? &*canonical : nullptr);
@@ -340,7 +340,7 @@ TvReport TranslationValidator::Validate(const Program& program, const BugConfig&
   // makes re-fingerprinting the shared version of consecutive pairs cheap.
   std::optional<StructHasher> canonical;
   if (cache != nullptr) {
-    canonical.emplace(ctx, StructHasher::Mode::kCanonical);
+    canonical.emplace(ctx);
     // Cached block summaries hold SmtRefs of the previous context. Within
     // this context, blocks the pipeline never touched — typically the
     // parser and deparser of every single version — interpret once total.

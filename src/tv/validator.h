@@ -117,14 +117,13 @@ class TranslationValidator {
   // the fault-attribution reruns only need the blamed pass's verdict, not
   // the whole pipeline's.
   //
-  // With a `cache` (src/cache/), bit-blasted fragments are reused across
-  // the pass pairs' solver queries and hash-matching pairs skip their
-  // queries outright. Verdicts are identical with or without a cache
-  // whenever the uncached queries finish within their budgets (a repeated
-  // kSemanticDiff pair reuses the first pair's witness instead of
-  // re-solving for one); where an uncached query would exhaust its budget,
-  // a verdict-cache hit can only upgrade that "could not validate" outcome
-  // into the proven verdict.
+  // With a `cache` (src/cache/), unchanged blocks reuse their summaries and
+  // hash-matching pairs skip their queries outright. Verdicts are identical
+  // with or without a cache whenever the uncached queries finish within
+  // their budgets (a repeated kSemanticDiff pair reuses the first pair's
+  // witness instead of re-solving for one); where an uncached query would
+  // exhaust its budget, a verdict-cache hit can only upgrade that "could
+  // not validate" outcome into the proven verdict.
   TvReport Validate(const Program& program, const BugConfig& bugs,
                     const std::string& stop_after_pass = {},
                     ValidationCache* cache = nullptr) const;

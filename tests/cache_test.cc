@@ -1,8 +1,9 @@
 // The src/cache/ memoization subsystem: structural-hash properties
-// (commutative normalization, cross-context stability), bit-exact blast
-// template replay, verdict-cache short-circuits, and the end-to-end
-// guarantee the whole subsystem is built around — campaign reports, TV
-// verdicts and generated tests are bit-identical with caching on or off.
+// (commutative normalization, cross-context stability), verdict-cache
+// short-circuits, block-summary memoization, cross-run cache files, and the
+// end-to-end guarantee the whole subsystem is built around — campaign
+// reports, TV verdicts and generated tests are bit-identical with caching
+// on or off.
 
 #include <gtest/gtest.h>
 
@@ -27,14 +28,11 @@ TEST(StructHashTest, CanonicalModeNormalizesCommutativeOps) {
   SmtContext ctx;
   const SmtRef a = ctx.Var("a", 8);
   const SmtRef b = ctx.Var("b", 8);
-  StructHasher canonical(ctx, StructHasher::Mode::kCanonical);
-  StructHasher exact(ctx, StructHasher::Mode::kExact);
+  StructHasher canonical(ctx);
 
   EXPECT_EQ(canonical.Hash(ctx.Add(a, b)), canonical.Hash(ctx.Add(b, a)));
   EXPECT_EQ(canonical.Hash(ctx.Mul(a, b)), canonical.Hash(ctx.Mul(b, a)));
   EXPECT_EQ(canonical.Hash(ctx.Xor(a, b)), canonical.Hash(ctx.Xor(b, a)));
-  // Exact mode keeps operand order: that is what the blast cache replays.
-  EXPECT_NE(exact.Hash(ctx.Add(a, b)), exact.Hash(ctx.Add(b, a)));
   // Non-commutative operators are never normalized.
   EXPECT_NE(canonical.Hash(ctx.Sub(a, b)), canonical.Hash(ctx.Sub(b, a)));
   EXPECT_NE(canonical.Hash(ctx.Ult(a, b)), canonical.Hash(ctx.Ult(b, a)));
@@ -45,7 +43,7 @@ TEST(StructHashTest, DistinctStructuresGetDistinctFingerprints) {
   SmtContext ctx;
   const SmtRef a = ctx.Var("a", 16);
   const SmtRef b = ctx.Var("b", 16);
-  StructHasher hasher(ctx, StructHasher::Mode::kCanonical);
+  StructHasher hasher(ctx);
   EXPECT_NE(hasher.Hash(ctx.Add(a, b)), hasher.Hash(ctx.Mul(a, b)));
   EXPECT_NE(hasher.Hash(ctx.Const(16, 3)), hasher.Hash(ctx.Const(16, 4)));
   EXPECT_NE(hasher.Hash(ctx.Const(16, 3)), hasher.Hash(ctx.Const(8, 3)));
@@ -60,85 +58,15 @@ TEST(StructHashTest, FingerprintsAreStableAcrossContextsByVariableName) {
   Fingerprint first;
   {
     SmtContext ctx;
-    StructHasher hasher(ctx, StructHasher::Mode::kExact);
+    StructHasher hasher(ctx);
     first = hasher.Hash(ctx.Add(ctx.Var("hdr.h0.f0", 8), ctx.Const(8, 7)));
   }
   SmtContext ctx2;
   // Interleave an unrelated variable so the var_ids differ from context 1.
   ctx2.Var("unrelated", 4);
-  StructHasher hasher2(ctx2, StructHasher::Mode::kExact);
+  StructHasher hasher2(ctx2);
   EXPECT_EQ(first, hasher2.Hash(ctx2.Add(ctx2.Var("hdr.h0.f0", 8), ctx2.Const(8, 7))));
   EXPECT_NE(first, hasher2.Hash(ctx2.Add(ctx2.Var("hdr.h0.f1", 8), ctx2.Const(8, 7))));
-}
-
-// --- blast cache -----------------------------------------------------------
-
-// A formula with enough gate structure (multiplier, shifts, comparisons)
-// for templates to matter.
-SmtRef BuildFormula(SmtContext& ctx) {
-  const SmtRef x = ctx.Var("x", 12);
-  const SmtRef y = ctx.Var("y", 12);
-  const SmtRef product = ctx.Mul(x, y);
-  const SmtRef mixed = ctx.Xor(ctx.Shl(product, ctx.Const(12, 3)), ctx.Sub(y, x));
-  return ctx.BoolAnd(ctx.Eq(mixed, ctx.Const(12, 1234)), ctx.Ult(x, y));
-}
-
-TEST(BlastCacheTest, ReplayProducesTheIdenticalSatInstance) {
-  BlastCache cache;
-
-  // Recording solve.
-  SmtContext ctx1;
-  SmtSolver recorder(ctx1);
-  recorder.set_blast_cache(&cache);
-  recorder.Assert(BuildFormula(ctx1));
-  const CheckResult recorded = recorder.Check();
-  ASSERT_EQ(recorded, CheckResult::kSat);
-  const SmtModel recorded_model = recorder.ExtractModel();
-  EXPECT_GT(cache.misses(), 0u);
-
-  // Replay solve in a fresh context; baseline solve with no cache at all.
-  SmtContext ctx2;
-  SmtSolver replayer(ctx2);
-  replayer.set_blast_cache(&cache);
-  replayer.Assert(BuildFormula(ctx2));
-  ASSERT_EQ(replayer.Check(), CheckResult::kSat);
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.clauses_reused(), 0u);
-
-  SmtContext ctx3;
-  SmtSolver baseline(ctx3);
-  baseline.Assert(BuildFormula(ctx3));
-  ASSERT_EQ(baseline.Check(), CheckResult::kSat);
-
-  // Replay is bit-exact: the replayed instance has the same variable count
-  // as the from-scratch encoding, and the CDCL search lands on the same
-  // model.
-  EXPECT_EQ(replayer.last_sat_vars(), baseline.last_sat_vars());
-  EXPECT_EQ(replayer.last_conflicts(), baseline.last_conflicts());
-  EXPECT_EQ(replayer.last_decisions(), baseline.last_decisions());
-  const SmtModel replayed_model = replayer.ExtractModel();
-  const SmtModel baseline_model = baseline.ExtractModel();
-  EXPECT_EQ(replayed_model.bit_values, baseline_model.bit_values);
-  EXPECT_EQ(replayed_model.bit_values, recorded_model.bit_values);
-}
-
-TEST(BlastCacheTest, UnsatVerdictsSurviveReplay) {
-  BlastCache cache;
-  const auto build_unsat = [](SmtContext& ctx) {
-    // x*y != y*x is unsatisfiable — a real proof, not a rewrite. Kept
-    // narrow: multiplier equivalence is exponential in the width.
-    const SmtRef x = ctx.Var("x", 6);
-    const SmtRef y = ctx.Var("y", 6);
-    return ctx.BoolNot(ctx.Eq(ctx.Mul(x, y), ctx.Mul(y, x)));
-  };
-  for (int round = 0; round < 2; ++round) {
-    SmtContext ctx;
-    SmtSolver solver(ctx);
-    solver.set_blast_cache(&cache);
-    solver.Assert(build_unsat(ctx));
-    EXPECT_EQ(solver.Check(), CheckResult::kUnsat) << "round " << round;
-  }
-  EXPECT_GT(cache.hits(), 0u);
 }
 
 // --- verdict cache ---------------------------------------------------------
@@ -241,15 +169,18 @@ TEST(VerdictCacheTest, CanonicallyIdenticalPairShortCircuits) {
   EXPECT_EQ(cache.Stats().pairs_short_circuited, 1u);
 }
 
-TEST(VerdictCacheTest, BeginProgramScopesVerdictsButKeepsTemplates) {
+TEST(VerdictCacheTest, BeginProgramScopesVerdictsButKeepsSummaryFingerprints) {
   auto program = Parser::ParseString(kMultiPassProgram);
   ValidationCache cache;
   const TranslationValidator validator(PassManager::StandardPipeline());
   validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &cache);
-  const size_t templates = cache.blast().size();
+  const auto fingerprints = cache.summaries().stored_fingerprints();
+  ASSERT_FALSE(fingerprints.empty());
   const size_t verdicts = cache.verdicts().size();
   cache.BeginProgram();
-  EXPECT_EQ(cache.blast().size(), templates);
+  // Summary fingerprints are keyed by block content, so they outlive the
+  // program scope; verdicts do not.
+  EXPECT_EQ(cache.summaries().stored_fingerprints(), fingerprints);
   EXPECT_EQ(cache.verdicts().size(), 0u);
   // Counters survive the scope boundary (every stored verdict was a miss).
   EXPECT_GE(cache.Stats().verdict_misses, verdicts);
@@ -340,7 +271,7 @@ TEST(SummaryCacheTest, HitReturnsTheIdenticalSemantics) {
 
 // --- cross-run persistence (src/cache/cache_file) --------------------------
 
-TEST(CacheFileTest, RoundTripRestoresTemplatesAndProgramScopedVerdicts) {
+TEST(CacheFileTest, RoundTripRestoresProgramScopedVerdictsAndSummaries) {
   // Populate a cache the way a campaign does: validate a program under a
   // program key, then serialize and reload into a fresh cache.
   auto program = Parser::ParseString(kMultiPassProgram);
@@ -348,8 +279,8 @@ TEST(CacheFileTest, RoundTripRestoresTemplatesAndProgramScopedVerdicts) {
   original.BeginProgram(/*program_key=*/0x1234);
   const TranslationValidator validator(PassManager::StandardPipeline());
   validator.Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &original);
-  ASSERT_GT(original.blast().size(), 0u);
   ASSERT_GT(original.verdicts().size(), 0u);
+  ASSERT_FALSE(original.summaries().stored_fingerprints().empty());
   const size_t verdict_count = original.verdicts().size();
 
   std::stringstream stream;
@@ -357,7 +288,8 @@ TEST(CacheFileTest, RoundTripRestoresTemplatesAndProgramScopedVerdicts) {
 
   ValidationCache reloaded;
   LoadValidationCache(stream, reloaded);
-  EXPECT_EQ(reloaded.blast().size(), original.blast().size());
+  EXPECT_EQ(reloaded.summaries().stored_fingerprints(),
+            original.summaries().stored_fingerprints());
   ASSERT_EQ(reloaded.stored_verdicts().count(0x1234), 1u);
   EXPECT_EQ(reloaded.stored_verdicts().at(0x1234).size(), verdict_count);
 
@@ -475,6 +407,17 @@ void LoadCacheText(const std::string& text) {
   LoadValidationCache(stream, cache);
 }
 
+TEST(CacheFileTest, VersionThreeFilesCarryNoTemplateSection) {
+  const std::string body = "programs 1\nprog 7 1\n1 2 2 0 - - 0 0\nsummaries 1\n1 2 3 4\n";
+  ValidationCache cache;
+  std::stringstream v3("gauntletcache 3\n" + body);
+  LoadValidationCache(v3, cache);
+  EXPECT_EQ(cache.stored_verdicts().at(7).size(), 1u);
+  EXPECT_EQ(cache.summaries().stored_fingerprints().size(), 1u);
+  // The section v1/v2 files carry is not part of v3.
+  EXPECT_THROW(LoadCacheText("gauntletcache 3\nblast 0\n" + body), CompileError);
+}
+
 TEST(CacheFileTest, UntrustedCountsNeverSizeAnAllocation) {
   // A count far past what the line holds must fail as a file error, not as
   // a bad_alloc/length_error from sizing a vector by it.
@@ -572,16 +515,15 @@ TEST(CacheIdentityTest, TestgenOutputIsBitIdenticalWithAndWithoutCache) {
   TypeCheck(*program);
   const std::vector<PacketTest> plain = TestCaseGenerator().Generate(*program);
   ValidationCache cache;
-  // Warm the cache through the validator, then generate twice — the first
-  // run records the path formula's fragments, the second replays them; the
-  // shared templates must not perturb a single test.
+  // Warm the cache through the validator, then generate twice: a cache the
+  // validator filled must not perturb a single test.
   TranslationValidator(PassManager::StandardPipeline())
       .Validate(*program, BugConfig::None(), /*stop_after_pass=*/{}, &cache);
   const std::vector<PacketTest> warm = TestCaseGenerator().Generate(*program, &cache);
   const std::vector<PacketTest> cached = TestCaseGenerator().Generate(*program, &cache);
   EXPECT_EQ(EmitStf(plain), EmitStf(warm));
   EXPECT_EQ(EmitStf(plain), EmitStf(cached));
-  EXPECT_GT(cache.Stats().blast_hits, 0u);
+  EXPECT_GT(cache.Stats().verdict_hits + cache.Stats().pairs_short_circuited, 0u);
 }
 
 TEST(CacheIdentityTest, CampaignReportsAreBitIdenticalWithAndWithoutCache) {
@@ -611,7 +553,7 @@ TEST(CacheIdentityTest, CampaignReportsAreBitIdenticalWithAndWithoutCache) {
   const CampaignReport plain = ParallelCampaign(no_cache).Run(bugs);
   ExpectIdenticalReports(cached, plain);
   ASSERT_FALSE(cached.findings.empty());
-  EXPECT_GT(stats.blast_hits, 0u);
+  EXPECT_GT(stats.verdict_hits + stats.pairs_short_circuited, 0u);
 
   // And the cached run stays jobs-count deterministic.
   ParallelCampaignOptions serial = options;

@@ -2,9 +2,11 @@
 // file, the shard result, snapshot/heartbeat/coverage JSON, the corpus
 // manifest, and the mini-corpus reproducer triples (P4, STF, finding.json).
 //
-// The committed fixtures under testdata/formats/ were written by the
-// previous release of the writers; each must load and re-serialize
-// byte-identically. Then every fixture is mutated by seeded truncations,
+// The committed fixtures under testdata/formats/ were written by a release
+// of the writers; each current-version fixture must load and re-serialize
+// byte-identically, and an older version the reader still accepts must
+// re-serialize to its current-version twin. Then every fixture is mutated
+// by seeded truncations,
 // byte flips and splices. Each mutant must either load and round-trip (its
 // re-serialization loads back to the same bytes) or be rejected cleanly: a
 // CompileError, or false plus an error message. Any other exception fails
@@ -136,14 +138,15 @@ std::string Mutate(const std::string& text, Rng& rng) {
   return out;
 }
 
-// The fixture must round-trip byte-identically; every mutant must round-trip
-// to a fixed point or be rejected cleanly.
+// The fixture must round-trip to `expected` (a current-version fixture: to
+// itself); every mutant must round-trip to a fixed point or be rejected
+// cleanly.
 void FuzzFormat(const std::string& name, const std::string& fixture, const RoundTrip& round_trip,
-                uint64_t seed) {
+                uint64_t seed, const std::string& expected) {
   SCOPED_TRACE(name);
   const std::optional<std::string> exact = round_trip(fixture);
   ASSERT_TRUE(exact.has_value()) << "fixture rejected";
-  EXPECT_EQ(*exact, fixture);
+  EXPECT_EQ(*exact, expected);
 
   Rng rng(seed);
   int accepted = 0;
@@ -167,14 +170,35 @@ void FuzzFormat(const std::string& name, const std::string& fixture, const Round
   std::printf("%s: %d of %d mutants accepted\n", name.c_str(), accepted, kMutantsPerFixture);
 }
 
-TEST(CodecFuzzTest, CacheFileV2) {
-  FuzzFormat("cache-v2.cache", Fixture("formats/cache-v2.cache"),
+void FuzzFormat(const std::string& name, const std::string& fixture, const RoundTrip& round_trip,
+                uint64_t seed) {
+  FuzzFormat(name, fixture, round_trip, seed, fixture);
+}
+
+TEST(CodecFuzzTest, CacheFileV3) {
+  FuzzFormat("cache-v3.cache", Fixture("formats/cache-v3.cache"),
              ThrowingRoundTrip(CacheRoundTrip), 1);
 }
 
-TEST(CodecFuzzTest, ShardResultV1) {
-  FuzzFormat("shard-v1.result", Fixture("formats/shard-v1.result"),
+// A v2 file still loads (its blast templates are validated and dropped) and
+// re-serializes as v3. Both fixtures were written by the same campaign, so
+// the v2 file's verdict and summary sections come back as the v3 file.
+TEST(CodecFuzzTest, CacheFileV2) {
+  FuzzFormat("cache-v2.cache", Fixture("formats/cache-v2.cache"),
+             ThrowingRoundTrip(CacheRoundTrip), 8, Fixture("formats/cache-v3.cache"));
+}
+
+TEST(CodecFuzzTest, ShardResultV2) {
+  FuzzFormat("shard-v2.result", Fixture("formats/shard-v2.result"),
              ThrowingRoundTrip(ShardRoundTrip), 2);
+}
+
+// v1 carried the blast-template counters in its "cache" line, which has as
+// many fields as v2's: only the version check keeps an old worker's result
+// from loading with its counters misread.
+TEST(CodecFuzzTest, ShardResultV1) {
+  std::istringstream in(Fixture("formats/shard-v1.result"));
+  EXPECT_THROW(LoadShardResult(in), CompileError);
 }
 
 TEST(CodecFuzzTest, Snapshots) {

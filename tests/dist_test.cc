@@ -172,8 +172,17 @@ TEST_F(DistScratch, ShardResultRoundTripsThroughFile) {
   // what to surface).
   EXPECT_EQ(MetricsJson(loaded.metrics), MetricsJson(original.metrics));
   EXPECT_EQ(CoverageJson(loaded.coverage), CoverageJson(original.coverage));
-  EXPECT_EQ(loaded.cache_stats.blast_hits, original.cache_stats.blast_hits);
   EXPECT_EQ(loaded.cache_stats.verdict_hits, original.cache_stats.verdict_hits);
+  EXPECT_EQ(loaded.cache_stats.verdict_misses, original.cache_stats.verdict_misses);
+  EXPECT_EQ(loaded.cache_stats.queries_skipped, original.cache_stats.queries_skipped);
+  EXPECT_EQ(loaded.cache_stats.pairs_short_circuited,
+            original.cache_stats.pairs_short_circuited);
+  // The block-summary counters travel too (v1 of the format dropped them).
+  ASSERT_GT(original.cache_stats.summary_hits, 0u);
+  ASSERT_GT(original.cache_stats.summary_fps_reused, 0u);
+  EXPECT_EQ(loaded.cache_stats.summary_hits, original.cache_stats.summary_hits);
+  EXPECT_EQ(loaded.cache_stats.summary_misses, original.cache_stats.summary_misses);
+  EXPECT_EQ(loaded.cache_stats.summary_fps_reused, original.cache_stats.summary_fps_reused);
 }
 
 TEST_F(DistScratch, ShardResultLoadFailsLoudly) {
