@@ -7,18 +7,20 @@
 
 #include <cstdio>
 
-#include "src/gauntlet/campaign.h"
+#include "src/runtime/parallel_campaign.h"
 
 int main() {
   using namespace gauntlet;
 
-  BugConfig remaining = BugConfig::All();
-  CampaignOptions options;
-  options.num_programs = 60;
-  options.generator.backend = GeneratorBackend::kTofino;
-  options.generator.p_wide_arith = 20;
-  options.testgen.max_tests = 6;
-  options.testgen.max_decisions = 5;
+  ParallelCampaignOptions options;
+  options.campaign.seed = 1001;  // round r runs seed 1000 + r
+  options.campaign.num_programs = 60;
+  options.campaign.generator.backend = GeneratorBackend::kTofino;
+  options.campaign.generator.p_wide_arith = 20;
+  options.campaign.testgen.max_tests = 6;
+  options.campaign.testgen.max_decisions = 5;
+  const BugConfig initial = BugConfig::All();
+  const FindFixResult result = RunFindFixCampaign(options, initial, 6);
 
   std::printf("=== campaign timeline: find -> fix -> repeat ===\n");
   std::printf("%-7s %-14s %-10s %-10s %-16s %s\n", "round", "faults left", "crash", "semantic",
@@ -27,10 +29,10 @@ int main() {
   int first_round_semantic = 0;
   int late_semantic = 0;
   int late_crash = 0;
-  for (int round = 1; round <= 6 && !remaining.empty(); ++round) {
-    options.seed = 1000 + static_cast<uint64_t>(round);
-    const Campaign campaign(options);
-    const CampaignReport report = campaign.Run(remaining);
+  size_t faults_left = initial.enabled().size();
+  for (size_t i = 0; i < result.rounds.size(); ++i) {
+    const CampaignReport& report = result.rounds[i];
+    const int round = static_cast<int>(i) + 1;
     int crash_found = 0;
     int semantic_found = 0;
     for (const BugId bug : report.distinct_bugs) {
@@ -47,19 +49,16 @@ int main() {
       late_crash += crash_found;
       late_semantic += semantic_found;
     }
-    std::printf("%-7d %-14zu %-10d %-10d %-16zu ", round, remaining.enabled().size(),
-                crash_found, semantic_found, report.DistinctCount());
+    std::printf("%-7d %-14zu %-10d %-10d %-16zu ", round, faults_left, crash_found,
+                semantic_found, report.DistinctCount());
     for (const BugId bug : report.distinct_bugs) {
-      remaining.Disable(bug);
       std::printf("%s ", BugIdToString(bug).c_str());
     }
     std::printf("\n");
-    if (report.distinct_bugs.empty()) {
-      break;
-    }
+    faults_left -= report.distinct_bugs.size();
   }
   std::printf("\nfaults never detected: ");
-  for (const BugId bug : remaining.enabled()) {
+  for (const BugId bug : result.remaining.enabled()) {
     std::printf("%s ", BugIdToString(bug).c_str());
   }
   std::printf("\n\nshape checks (paper §7.1):\n");

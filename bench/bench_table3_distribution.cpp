@@ -7,20 +7,20 @@
 
 #include <cstdio>
 
-#include "src/gauntlet/campaign.h"
+#include "src/runtime/parallel_campaign.h"
 
 int main() {
   using namespace gauntlet;
 
-  CampaignOptions options;
-  options.seed = 3;
-  options.num_programs = 40;
-  options.generator.backend = GeneratorBackend::kTofino;
-  options.generator.p_wide_arith = 20;
-  options.testgen.max_tests = 6;
-  options.testgen.max_decisions = 5;
+  ParallelCampaignOptions options;
+  options.campaign.seed = 3;
+  options.campaign.num_programs = 40;
+  options.campaign.generator.backend = GeneratorBackend::kTofino;
+  options.campaign.generator.p_wide_arith = 20;
+  options.campaign.testgen.max_tests = 6;
+  options.campaign.testgen.max_decisions = 5;
   std::printf("running find->fix campaign rounds (%d programs each, full catalogue)...\n\n",
-              options.num_programs);
+              options.campaign.num_programs);
   const FindFixResult result = RunFindFixCampaign(options, BugConfig::All(), 6);
 
   auto at = [&](BugLocation location) {

@@ -394,21 +394,17 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
   // The single fold a one-process run performs, now on the cross-shard
   // merged state: raw shard registries/maps first (shard order), then the
   // report's deterministic domains exactly once.
-  if (options.campaign.metrics != nullptr) {
-    for (const ShardResult& result : results) {
+  for (const ShardResult& result : results) {
+    if (options.campaign.metrics != nullptr) {
       options.campaign.metrics->MergeFrom(result.metrics);
     }
-    outcome.report.RecordMetrics(*options.campaign.metrics);
-    if (options.campaign.use_cache) {
-      outcome.cache_stats.RecordMetrics(*options.campaign.metrics);
-    }
-  }
-  if (options.campaign.coverage != nullptr) {
-    for (const ShardResult& result : results) {
+    if (options.campaign.coverage != nullptr) {
       options.campaign.coverage->MergeFrom(result.coverage);
     }
-    outcome.report.RecordCoverage(*options.campaign.coverage, bugs);
   }
+  FoldReportTelemetry(outcome.report, bugs,
+                      options.campaign.use_cache ? &outcome.cache_stats : nullptr,
+                      options.campaign.metrics, options.campaign.coverage);
 
   if (!options.corpus_dir.empty()) {
     std::vector<std::string> shard_corpora;

@@ -23,8 +23,8 @@ namespace gauntlet {
 //   * corpora     MergeCorpusStores (manifest union, earliest shard wins);
 //   * caches      MergeValidationCacheFiles (fingerprint dedup).
 //
-// then performs the single report fold (RecordMetrics/RecordCoverage) a
-// one-process run would perform. The deterministic sections of the merged
+// then performs the single report fold (FoldReportTelemetry) a one-process
+// run would perform. The deterministic sections of the merged
 // report, metrics.json, coverage.json and the corpus manifest are therefore
 // byte-identical to a single-process run of the same N/seed for ANY shard
 // topology x --jobs combination, cache on or off — the CI shard-identity

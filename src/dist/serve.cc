@@ -339,6 +339,12 @@ std::string GauntletServer::HandleSubmission(const std::string& payload) {
   return json.str();
 }
 
+void GauntletServer::FoldTelemetry(MetricsRegistry* metrics, CoverageMap* coverage) const {
+  const CacheStats stats = cache_ != nullptr ? cache_->Stats() : CacheStats{};
+  FoldReportTelemetry(report_, base_bugs_, cache_ != nullptr ? &stats : nullptr, metrics,
+                      coverage);
+}
+
 Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
   Snapshot snapshot;
   snapshot.role = "serve";
@@ -364,15 +370,7 @@ Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
       // Fold the campaign domains on the *copies*: the in-place fold
       // happens exactly once, after the accept loop — flushing mid-session
       // must not double-count into the shared sinks.
-      if (have_metrics) {
-        report_.RecordMetrics(metrics);
-        if (cache_ != nullptr) {
-          cache_->Stats().RecordMetrics(metrics);
-        }
-      }
-      if (have_coverage) {
-        report_.RecordCoverage(coverage, base_bugs_);
-      }
+      FoldTelemetry(have_metrics ? &metrics : nullptr, have_coverage ? &coverage : nullptr);
     }
     snapshot.requests_served = static_cast<uint64_t>(served_);
     snapshot.programs_done = static_cast<uint64_t>(served_);
@@ -491,15 +489,7 @@ int GauntletServer::Run() {
     std::lock_guard<std::mutex> lock(state_mutex_);
     if (!folded_) {
       folded_ = true;
-      if (options_.campaign.metrics != nullptr) {
-        report_.RecordMetrics(*options_.campaign.metrics);
-        if (cache_ != nullptr) {
-          cache_->Stats().RecordMetrics(*options_.campaign.metrics);
-        }
-      }
-      if (options_.campaign.coverage != nullptr) {
-        report_.RecordCoverage(*options_.campaign.coverage, base_bugs_);
-      }
+      FoldTelemetry(options_.campaign.metrics, options_.campaign.coverage);
     }
   }
   phase_.store("done", std::memory_order_relaxed);

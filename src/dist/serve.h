@@ -116,6 +116,10 @@ class GauntletServer {
 
  private:
   std::string HandleSubmission(const std::string& payload);
+  // The session's single report fold (FoldReportTelemetry over report_ and
+  // the cache counters) into the given sinks; the caller holds
+  // state_mutex_.
+  void FoldTelemetry(MetricsRegistry* metrics, CoverageMap* coverage) const;
   // Copies the shared state under the mutex, folds the campaign domains on
   // the copies (when not yet folded in place), rewrites the telemetry out
   // files atomically, and returns the status snapshot the state implies.

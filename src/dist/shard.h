@@ -39,11 +39,10 @@ std::vector<ShardRange> PartitionIndexSpace(int total, int shards);
 
 // Everything one shard worker hands back to the coordinator: the unfolded
 // campaign report (global indices throughout), the raw merged per-worker
-// telemetry, and the cache counters. "Unfolded" means
-// CampaignReport::RecordMetrics/RecordCoverage have NOT been applied — the
-// distinct-bug domains they compute do not sum across shards, so the
-// coordinator folds exactly once on the cross-shard merged report, the
-// same single fold a one-process run performs.
+// telemetry, and the cache counters. "Unfolded" means FoldReportTelemetry
+// has NOT been applied — the distinct-bug domains it computes do not sum
+// across shards, so the coordinator folds exactly once on the cross-shard
+// merged report, the same single fold a one-process run performs.
 struct ShardResult {
   ShardRange range;
   CampaignReport report;

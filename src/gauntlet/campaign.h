@@ -139,7 +139,8 @@ struct CampaignReport {
 
   // Folds `other` into this report: counters add, findings append in
   // `other`'s order, distinct sets union. Merging per-program reports in
-  // program-index order reproduces the serial report exactly.
+  // program-index order yields the same report however the programs were
+  // scheduled.
   void Merge(CampaignReport&& other);
 
   // Folds the report's outcome counters into `registry` under `campaign/...`
@@ -156,36 +157,27 @@ struct CampaignReport {
   void RecordCoverage(CoverageMap& map, const BugConfig& bugs) const;
 };
 
-// A multi-round find->fix sequence: each round runs a full campaign, then
-// disables ("fixes") every fault found before the next round — the paper's
-// 4-month dynamic in miniature (§7.1: crash bugs dominate early rounds,
-// semantic bugs surface once crashes stop pre-empting the pipeline).
-struct FindFixResult {
-  std::set<BugId> found;                 // cumulative distinct faults
-  std::vector<CampaignReport> rounds;    // per-round reports
-  BugConfig remaining;                   // faults never detected
-};
-FindFixResult RunFindFixCampaign(const CampaignOptions& base, const BugConfig& initial,
-                                 int max_rounds);
+// The end-of-run telemetry fold every campaign driver performs exactly once,
+// on its merged report: the report's campaign/... counters plus, when
+// `cache_stats` is non-null, the cache counters into `metrics`, and the
+// campaign-level coverage domains into `coverage`. Null sinks are skipped.
+void FoldReportTelemetry(const CampaignReport& report, const BugConfig& bugs,
+                         const CacheStats* cache_stats, MetricsRegistry* metrics,
+                         CoverageMap* coverage);
 
-// The end-to-end bug-finding campaign: generate random programs (§4), run
-// translation validation over the open pass pipeline (§5), and replay
-// generated test packets on every selected registered target (§6). Results
+// The per-program detection machinery of the end-to-end bug-finding
+// campaign: translation validation over the open pass pipeline (§5) and
+// generated test packets replayed on every selected registered target
+// (§6). The campaign driver that generates the random programs (§4) and
+// owns the program stream is ParallelCampaign (src/runtime/); its results
 // feed the Table 2 / Table 3 benchmarks.
 class Campaign {
  public:
   explicit Campaign(CampaignOptions options) : options_(std::move(options)) {}
 
-  // `stats_out`, when non-null, receives the cache counters the run
-  // accumulated (zeros with use_cache off). They live outside the report:
-  // reports are bit-identical for any scheduling, hit patterns are not.
-  CampaignReport Run(const BugConfig& bugs, CacheStats* stats_out = nullptr) const;
-
   // Runs all three detection techniques on one program, recording findings
-  // into `report`. Public so drivers that own the program stream (the
-  // parallel campaign in src/runtime/) can reuse the detection machinery;
-  // const and self-contained, so concurrent calls on one Campaign are safe
-  // as long as each carries its own `cache` (or none).
+  // into `report`. Const and self-contained, so concurrent calls on one
+  // Campaign are safe as long as each carries its own `cache` (or none).
   void TestProgram(const Program& program, const BugConfig& bugs, int program_index,
                    CampaignReport& report, ValidationCache* cache = nullptr) const;
 

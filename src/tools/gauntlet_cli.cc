@@ -4,9 +4,9 @@
 //                                           print the program after every pass
 //   gauntlet validate <file.p4> [--bug B]   translation-validate the pipeline
 //   gauntlet testgen <file.p4>              emit STF-style packet tests
-//   gauntlet fuzz [N] [seed] [--bug B ...]  random-program campaign (serial)
 //   gauntlet campaign [N] [seed] [--jobs J] [--corpus DIR] [--targets T,..]
-//                                           parallel campaign + STF corpus
+//                                           random-program campaign + STF corpus
+//   gauntlet fuzz ...                       alias of `campaign`
 //   gauntlet replay <file.p4> <file.stf>    re-run a stored reproducer
 //   gauntlet replay --corpus DIR            bulk-replay every stored triple
 //   gauntlet reduce <file.p4> --bug B       shrink a reproducer
@@ -21,7 +21,7 @@
 // silently ignored.
 //
 // Exit codes are gateable: commands that *check* something (validate,
-// testgen, fuzz, campaign, replay) exit nonzero when they find problems —
+// testgen, campaign, replay) exit nonzero when they find problems —
 // semantic diffs, zero generated tests, campaign findings, packet
 // mismatches, still-failing reproducers — so CI scripts can run them
 // directly.
@@ -257,6 +257,19 @@ void MaybePrintCacheStats(const ParsedArgs& args, const CacheStats& stats) {
   std::fprintf(stderr, "%s\n", stats.ToString().c_str());
 }
 
+// The single-program commands' cache epilogue: the counters into
+// metrics.json (cache on) and the --cache-stats line, then the telemetry
+// files.
+void FinishSingleProgramCache(const ParsedArgs& args, const ValidationCache* cache,
+                              Telemetry& telemetry) {
+  const CacheStats stats = cache != nullptr ? cache->Stats() : CacheStats{};
+  if (cache != nullptr && telemetry.registry_or_null() != nullptr) {
+    stats.RecordMetrics(telemetry.registry);
+  }
+  MaybePrintCacheStats(args, stats);
+  telemetry.Write();
+}
+
 // Strict decimal parse; rejects "abc", "4x", out-of-range and empty
 // strings instead of the silent-zero behavior of atoi.
 long long ParseNumber(const std::string& text, const std::string& what) {
@@ -399,11 +412,7 @@ int CmdValidate(const std::string& path, const BugConfig& bugs, const ParsedArgs
     std::fprintf(stderr, "progress: %zu pass pairs validated, done\n",
                  report.pass_results.size());
   }
-  if (cache_ptr != nullptr && telemetry.registry_or_null() != nullptr) {
-    cache.Stats().RecordMetrics(telemetry.registry);
-  }
-  MaybePrintCacheStats(args, cache.Stats());
-  telemetry.Write();
+  FinishSingleProgramCache(args, cache_ptr, telemetry);
   return problems == 0 ? 0 : 1;
 }
 
@@ -434,11 +443,7 @@ int CmdTestgen(const std::string& path, const ParsedArgs& args) {
   if (args.Has("--progress")) {
     std::fprintf(stderr, "progress: %zu tests generated, done\n", tests.size());
   }
-  if (cache_ptr != nullptr && telemetry.registry_or_null() != nullptr) {
-    cache.Stats().RecordMetrics(telemetry.registry);
-  }
-  MaybePrintCacheStats(args, cache.Stats());
-  telemetry.Write();
+  FinishSingleProgramCache(args, cache_ptr, telemetry);
   // No tests means no coverage — scripts piping this into a replay harness
   // must be able to gate on it.
   return tests.empty() ? 1 : 0;
@@ -456,10 +461,17 @@ void PrintReport(const CampaignReport& report) {
   std::printf("%d programs, %zu findings, %zu distinct bugs, %d suspicious reports\n",
               report.programs_generated, report.findings.size(), report.DistinctCount(),
               report.undef_divergences);
+  // On stderr: the count depends on the wall-clock budgets, and stdout
+  // stays byte-identical across runs for the CI diff gates.
+  if (report.structural_mismatches > 0) {
+    std::fprintf(stderr,
+                 "%d pass pairs unvalidated (structural mismatch or budget exhausted)\n",
+                 report.structural_mismatches);
+  }
 }
 
 // Wires the telemetry destinations and the optional --progress heartbeat
-// into a (serial or parallel) campaign's options. The meter outlives the
+// into a campaign's options (single-process or sharded). The meter outlives the
 // run — callers Finish() it before printing the report so the stderr
 // heartbeat never interleaves with the stdout report.
 std::unique_ptr<ProgressMeter> WireCampaignTelemetry(const ParsedArgs& args,
@@ -476,34 +488,6 @@ std::unique_ptr<ProgressMeter> WireCampaignTelemetry(const ParsedArgs& args,
     options.progress = [raw](uint64_t done, uint64_t findings) { raw->Tick(done, findings); };
   }
   return meter;
-}
-
-int CmdFuzz(int argc, char** argv) {
-  const ParsedArgs args =
-      ParseCommandArgs(argc, argv, WithTelemetryFlags({"--bug", "--targets"}),
-                       /*max_positionals=*/2, kCacheSwitches);
-  const BugConfig bugs = BugsFromFlags(args);
-  Telemetry telemetry(args);
-  CampaignOptions options;
-  options.targets = TargetsFromFlags(args);
-  options.use_cache = !args.Has("--no-cache");
-  ApplySolverSwitches(args, options.tv, options.testgen);
-  if (args.positionals.size() >= 1) {
-    options.num_programs = ParseCount(args.positionals[0], "N", /*minimum=*/0);
-  }
-  if (args.positionals.size() >= 2) {
-    options.seed = static_cast<uint64_t>(ParseNumber(args.positionals[1], "seed"));
-  }
-  const std::unique_ptr<ProgressMeter> meter = WireCampaignTelemetry(args, telemetry, options);
-  CacheStats stats;
-  const CampaignReport report = Campaign(options).Run(bugs, &stats);
-  if (meter != nullptr) {
-    meter->Finish(static_cast<uint64_t>(report.programs_generated), report.findings.size());
-  }
-  PrintReport(report);
-  MaybePrintCacheStats(args, stats);
-  telemetry.Write();
-  return report.findings.empty() ? 0 : 1;
 }
 
 // `campaign --shards S`: the distributed path (src/dist/). The coordinator
@@ -697,15 +681,13 @@ int CmdShardWorker(int argc, char** argv) {
   // per-shard human view, so they get this shard's own fold.
   if (telemetry.registry_or_null() != nullptr) {
     telemetry.registry.MergeFrom(result.metrics);
-    result.report.RecordMetrics(telemetry.registry);
-    if (options.campaign.use_cache) {
-      result.cache_stats.RecordMetrics(telemetry.registry);
-    }
   }
   if (telemetry.coverage_or_null() != nullptr) {
     telemetry.coverage.MergeFrom(result.coverage);
-    result.report.RecordCoverage(telemetry.coverage, bugs);
   }
+  FoldReportTelemetry(result.report, bugs,
+                      options.campaign.use_cache ? &result.cache_stats : nullptr,
+                      telemetry.registry_or_null(), telemetry.coverage_or_null());
   telemetry.Write();
   return 0;
 }
@@ -1036,10 +1018,9 @@ int Usage(std::FILE* out) {
                "  compile <file.p4> [--bug B ...]\n"
                "  validate <file.p4> [--bug B ...] [--no-cache] [--cache-stats]\n"
                "  testgen <file.p4> [--no-cache] [--cache-stats]\n"
-               "  fuzz [N] [seed] [--bug B ...] [--targets T,...] [--no-cache] "
-               "[--cache-stats]\n"
                "  campaign [N] [seed] [--jobs J] [--corpus DIR] [--bug B ...] "
                "[--targets T,...] [--no-cache] [--cache-stats] [--cache-file F]\n"
+               "  fuzz ...   (alias of campaign)\n"
                "  campaign ... --shards S [--shard-dir DIR] [--worker BIN]\n"
                "  campaign ... --status-dir DIR [--snapshot-interval MS]\n"
                "  shard-worker --shard-begin B --shard-end E --seed S --result-out F\n"
@@ -1064,12 +1045,12 @@ int Usage(std::FILE* out) {
                "--cache-stats prints hit/reuse counters to stderr\n"
                "--cache-file persists per-program verdicts + summary fingerprints across\n"
                "runs (campaign reads and rewrites it; replay only validates it)\n"
-               "--no-budgets (validate/testgen/fuzz/campaign) lifts the wall-clock\n"
+               "--no-budgets (validate/testgen/campaign) lifts the wall-clock\n"
                "solver budgets so reports do not depend on machine load\n"
                "--no-incremental (same commands) disables the incremental solver hot\n"
                "path (assumption-trail reuse + block-summary memoization); reports\n"
                "are byte-identical either way, only the work spent differs\n"
-               "telemetry (validate/testgen/fuzz/campaign/replay):\n"
+               "telemetry (validate/testgen/campaign/replay):\n"
                "  --metrics-out F   write a versioned metrics.json run report\n"
                "  --trace-out F     write Chrome/Perfetto trace-event JSON\n"
                "  --coverage-out F  write a semantic coverage.json snapshot\n"
@@ -1129,10 +1110,7 @@ int main(int argc, char** argv) {
       }
       return CmdTestgen(args.positionals[0], args);
     }
-    if (command == "fuzz") {
-      return CmdFuzz(argc, argv);
-    }
-    if (command == "campaign") {
+    if (command == "campaign" || command == "fuzz") {
       return CmdCampaign(argc, argv);
     }
     if (command == "shard-worker") {

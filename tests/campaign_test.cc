@@ -3,9 +3,17 @@
 #include <map>
 
 #include "src/gauntlet/campaign.h"
+#include "src/runtime/parallel_campaign.h"
 
 namespace gauntlet {
 namespace {
+
+// Runs `options` on the campaign driver with one worker.
+CampaignReport RunCampaign(const CampaignOptions& options, const BugConfig& bugs) {
+  ParallelCampaignOptions driver;
+  driver.campaign = options;
+  return ParallelCampaign(driver).Run(bugs);
+}
 
 CampaignOptions SmallCampaign(int num_programs) {
   CampaignOptions options;
@@ -19,8 +27,7 @@ CampaignOptions SmallCampaign(int num_programs) {
 }
 
 TEST(CampaignTest, CleanCompilerYieldsNoFindings) {
-  const Campaign campaign(SmallCampaign(12));
-  const CampaignReport report = campaign.Run(BugConfig::None());
+  const CampaignReport report = RunCampaign(SmallCampaign(12), BugConfig::None());
   EXPECT_EQ(report.programs_generated, 12);
   EXPECT_TRUE(report.findings.empty())
       << "unexpected finding: " << report.findings[0].component << " — "
@@ -31,8 +38,7 @@ TEST(CampaignTest, CleanCompilerYieldsNoFindings) {
 TEST(CampaignTest, SingleCrashBugIsFoundAndAttributed) {
   BugConfig bugs;
   bugs.Enable(BugId::kTypeCheckerShiftCrash);
-  const Campaign campaign(SmallCampaign(25));
-  const CampaignReport report = campaign.Run(bugs);
+  const CampaignReport report = RunCampaign(SmallCampaign(25), bugs);
   EXPECT_TRUE(report.distinct_bugs.count(BugId::kTypeCheckerShiftCrash) > 0)
       << "findings: " << report.findings.size();
   for (const Finding& finding : report.findings) {
@@ -43,8 +49,7 @@ TEST(CampaignTest, SingleCrashBugIsFoundAndAttributed) {
 TEST(CampaignTest, SingleSemanticBugIsFoundByTranslationValidation) {
   BugConfig bugs;
   bugs.Enable(BugId::kPredicationLostElse);
-  const Campaign campaign(SmallCampaign(50));
-  const CampaignReport report = campaign.Run(bugs);
+  const CampaignReport report = RunCampaign(SmallCampaign(50), bugs);
   bool found_by_tv = false;
   for (const Finding& finding : report.findings) {
     if (finding.method == DetectionMethod::kTranslationValidation &&
@@ -61,8 +66,7 @@ TEST(CampaignTest, TofinoBackEndBugFoundOnlyByPacketTests) {
   bugs.Enable(BugId::kTofinoTableDefaultSkipped);
   CampaignOptions options = SmallCampaign(25);
   options.generator.backend = GeneratorBackend::kTofino;
-  const Campaign campaign(options);
-  const CampaignReport report = campaign.Run(bugs);
+  const CampaignReport report = RunCampaign(options, bugs);
   bool found = false;
   for (const Finding& finding : report.findings) {
     if (finding.attributed == BugId::kTofinoTableDefaultSkipped) {
@@ -78,8 +82,7 @@ TEST(CampaignTest, FullCatalogueCampaignFindsBugsInEveryLocation) {
   CampaignOptions options = SmallCampaign(40);
   options.generator.backend = GeneratorBackend::kTofino;
   options.generator.p_wide_arith = 25;
-  const Campaign campaign(options);
-  const CampaignReport report = campaign.Run(BugConfig::All());
+  const CampaignReport report = RunCampaign(options, BugConfig::All());
   EXPECT_GT(report.DistinctCount(), 4u);
   const auto by_kind = report.DistinctByKind();
   EXPECT_GT(by_kind.count(BugKind::kCrash) > 0 ? by_kind.at(BugKind::kCrash) : 0, 0);
@@ -96,8 +99,7 @@ TEST(CampaignTest, FixingBugsShrinksFindings) {
   BugConfig bugs;
   bugs.Enable(BugId::kTypeCheckerShiftCrash);
   bugs.Enable(BugId::kPredicationLostElse);
-  const Campaign campaign(SmallCampaign(25));
-  const CampaignReport first = campaign.Run(bugs);
+  const CampaignReport first = RunCampaign(SmallCampaign(25), bugs);
   ASSERT_GT(first.DistinctCount(), 0u);
 
   // "Fix" everything that was found and re-run.
@@ -105,7 +107,7 @@ TEST(CampaignTest, FixingBugsShrinksFindings) {
   for (const BugId bug : first.distinct_bugs) {
     after_fixes.Disable(bug);
   }
-  const CampaignReport second = campaign.Run(after_fixes);
+  const CampaignReport second = RunCampaign(SmallCampaign(25), after_fixes);
   for (const BugId bug : first.distinct_bugs) {
     EXPECT_EQ(second.distinct_bugs.count(bug), 0u);
   }
@@ -126,7 +128,7 @@ TEST_P(FodderFaultCampaign, RandomCampaignFindsFault) {
   options.seed = 555;
   options.generator.backend = GeneratorBackend::kTofino;
   options.generator.p_wide_arith = 20;
-  const CampaignReport report = Campaign(options).Run(bugs);
+  const CampaignReport report = RunCampaign(options, bugs);
   EXPECT_EQ(report.distinct_bugs.count(GetParam()), 1u)
       << "fault " << BugIdToString(GetParam()) << " not found in 90 random programs";
 }
@@ -160,11 +162,11 @@ TEST(CampaignTest, TargetSubsettingChangesOnlySelectedBackEndsFindings) {
 
   CampaignOptions all = SmallCampaign(30);
   all.bias_generator = false;
-  const CampaignReport full = Campaign(all).Run(bugs);
+  const CampaignReport full = RunCampaign(all, bugs);
 
   CampaignOptions only_ebpf = all;
   only_ebpf.targets = {"ebpf"};
-  const CampaignReport subset = Campaign(only_ebpf).Run(bugs);
+  const CampaignReport subset = RunCampaign(only_ebpf, bugs);
 
   // The subset run found only eBPF bugs...
   EXPECT_GT(subset.distinct_bugs.count(BugId::kEbpfParserExtractReversed), 0u);
@@ -208,12 +210,12 @@ TEST(CampaignTest, SingleTargetCampaignAppliesGeneratorBias) {
 
   CampaignOptions biased = SmallCampaign(10);
   biased.targets = {"ebpf"};
-  const CampaignReport auto_biased = Campaign(biased).Run(bugs);
+  const CampaignReport auto_biased = RunCampaign(biased, bugs);
 
   CampaignOptions manual = biased;
   manual.bias_generator = false;
   manual.generator = TargetRegistry::Get("ebpf").GeneratorBias(manual.generator);
-  const CampaignReport hand_biased = Campaign(manual).Run(bugs);
+  const CampaignReport hand_biased = RunCampaign(manual, bugs);
   EXPECT_EQ(auto_biased.tests_generated, hand_biased.tests_generated);
   EXPECT_EQ(auto_biased.findings.size(), hand_biased.findings.size());
   EXPECT_EQ(auto_biased.distinct_bugs, hand_biased.distinct_bugs);
@@ -233,7 +235,7 @@ TEST(CampaignTest, SharedCrashSiteRecordedOncePerProgramAcrossTargets) {
   bugs.Enable(BugId::kInlinerSkipsNestedCall);
   CampaignOptions options = SmallCampaign(90);
   options.seed = 555;
-  const CampaignReport report = Campaign(options).Run(bugs);
+  const CampaignReport report = RunCampaign(options, bugs);
   ASSERT_GT(report.distinct_bugs.count(BugId::kInlinerSkipsNestedCall), 0u);
   std::map<int, int> residual_findings_per_program;
   for (const Finding& finding : report.findings) {
@@ -250,15 +252,14 @@ TEST(CampaignTest, SharedCrashSiteRecordedOncePerProgramAcrossTargets) {
 TEST(CampaignTest, UnknownTargetNameFailsLoudly) {
   CampaignOptions options = SmallCampaign(1);
   options.targets = {"bmv2", "hexagon"};
-  EXPECT_THROW(Campaign(options).Run(BugConfig::None()), CompileError);
+  EXPECT_THROW(RunCampaign(options, BugConfig::None()), CompileError);
 }
 
 TEST(CampaignTest, ReportsAreDeterministicForSeed) {
   BugConfig bugs;
   bugs.Enable(BugId::kConstantFoldWrapWidth);
-  const Campaign campaign(SmallCampaign(10));
-  const CampaignReport first = campaign.Run(bugs);
-  const CampaignReport second = campaign.Run(bugs);
+  const CampaignReport first = RunCampaign(SmallCampaign(10), bugs);
+  const CampaignReport second = RunCampaign(SmallCampaign(10), bugs);
   EXPECT_EQ(first.findings.size(), second.findings.size());
   EXPECT_EQ(first.distinct_bugs, second.distinct_bugs);
 }

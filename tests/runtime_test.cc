@@ -7,6 +7,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <string>
 
 #include "src/cache/verdict_cache.h"
 #include "src/frontend/parser.h"
@@ -177,6 +179,42 @@ TEST(ParallelCampaignTest, ProgramSeedsAreDecorrelated) {
   EXPECT_NE(s0, s1);
   EXPECT_NE(s0, 1u);  // index 0 must still be mixed
   EXPECT_NE(ParallelCampaign::ProgramSeed(1, 0), ParallelCampaign::ProgramSeed(2, 0));
+}
+
+TEST(FindFixCampaignTest, RoundsAreJobsIdenticalAndNeverRefindAFixedFault) {
+  // The §7.1 find->fix sequence on the one campaign driver: every round's
+  // report is bit-identical for any jobs value, a fault fixed in one round
+  // never resurfaces later, and the faults split exactly into found and
+  // remaining.
+  const BugConfig initial = BugConfig::All();
+  const FindFixResult serial = RunFindFixCampaign(SmallCampaign(12, 1), initial, 3);
+  const FindFixResult parallel = RunFindFixCampaign(SmallCampaign(12, 4), initial, 3);
+
+  ASSERT_GE(serial.rounds.size(), 2u);
+  ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
+  for (size_t round = 0; round < serial.rounds.size(); ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectIdenticalReports(serial.rounds[round], parallel.rounds[round]);
+  }
+  EXPECT_EQ(serial.found, parallel.found);
+  EXPECT_EQ(serial.remaining.enabled(), parallel.remaining.enabled());
+
+  std::set<BugId> fixed;
+  for (const CampaignReport& round : serial.rounds) {
+    for (const BugId bug : round.distinct_bugs) {
+      EXPECT_EQ(fixed.count(bug), 0u) << BugIdToString(bug) << " found again after its fix";
+      EXPECT_TRUE(initial.Has(bug)) << BugIdToString(bug);
+    }
+    fixed.insert(round.distinct_bugs.begin(), round.distinct_bugs.end());
+  }
+  EXPECT_EQ(fixed, serial.found);
+
+  std::set<BugId> found_or_remaining = serial.found;
+  for (const BugId bug : serial.remaining.enabled()) {
+    EXPECT_EQ(serial.found.count(bug), 0u) << BugIdToString(bug);
+    found_or_remaining.insert(bug);
+  }
+  EXPECT_EQ(found_or_remaining, initial.enabled());
 }
 
 // --- corpus store + replay round trip --------------------------------------
