@@ -16,10 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "src/obs/coverage.h"
-#include "src/obs/metrics.h"
-#include "src/obs/run_report.h"
-#include "src/obs/trace.h"
+#include "src/cache/verdict_cache.h"
 #include "src/runtime/parallel_campaign.h"
 
 int main() {
@@ -123,17 +120,15 @@ int main() {
   uint64_t programs_metric = 0;
   for (int round = 0; round < rounds; ++round) {
     std::filesystem::remove_all(status_dir);
-    MetricsRegistry metrics;
-    TraceCollector trace;
-    CoverageMap coverage;
+    RunSinks sinks({}, RunSinks::kMetrics | RunSinks::kTrace | RunSinks::kCoverage);
     ParallelCampaignOptions instrumented = overhead_options;
-    instrumented.campaign.metrics = &metrics;
-    instrumented.campaign.trace = &trace;
-    instrumented.campaign.coverage = &coverage;
+    instrumented.campaign.sinks = &sinks;
     instrumented.status_dir = status_dir;
     instrumented.snapshot_interval_ms = 100;
     const auto start = Clock::now();
-    const CampaignReport report = ParallelCampaign(instrumented).Run(overhead_bugs);
+    CacheStats stats;
+    const CampaignReport report = ParallelCampaign(instrumented).Run(overhead_bugs, &stats);
+    sinks.Fold(report, overhead_bugs, instrumented.campaign.use_cache ? &stats : nullptr);
     const double ms =
         std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(Clock::now() -
                                                                               start)
@@ -142,7 +137,7 @@ int main() {
       best_traced_ms = ms;
     }
     traced_findings = report.findings.size();
-    programs_metric = metrics.Value("campaign/programs_generated");
+    programs_metric = sinks.metrics()->Value("campaign/programs_generated");
   }
   std::filesystem::remove_all(status_dir);
 

@@ -212,7 +212,8 @@ BudgetSuggestion SuggestBudgets(const TestGenOptions& testgen,
 
 CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
                                        const BugConfig& bugs) {
-  if (options.campaign.trace != nullptr) {
+  RunSinks* const sinks = options.campaign.sinks;
+  if (sinks != nullptr && sinks->trace() != nullptr) {
     throw CompileError("traces are per-process; a sharded campaign cannot collect one");
   }
   const uint64_t run_start_micros = TraceNowMicros();
@@ -332,11 +333,9 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
     uint64_t done_offset = 0;
     uint64_t findings_offset = 0;
     for (const ShardRange& range : ranges) {
-      ShardWorkerOptions worker = {};
+      ParallelCampaignOptions worker;
       worker.campaign = options.campaign;
-      worker.campaign.metrics = nullptr;
-      worker.campaign.coverage = nullptr;
-      worker.campaign.trace = nullptr;
+      worker.campaign.sinks = nullptr;  // the shard result carries its telemetry
       if (options.campaign.progress) {
         const auto progress = options.campaign.progress;
         const uint64_t done_base = done_offset;
@@ -346,7 +345,6 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
           progress(done_base + done, findings_base + findings);
         };
       }
-      worker.range = range;
       worker.jobs = options.jobs;
       if (!options.status_dir.empty()) {
         worker.status_dir = ShardStatusDir(options.status_dir, range.index);
@@ -359,7 +357,7 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
       if (!options.cache_file.empty()) {
         worker.cache_file = ShardCachePath(scratch, range.index);
       }
-      const ShardResult result = RunShardWorker(worker, bugs);
+      const ShardResult result = RunShardWorker(worker, range, bugs);
       done_offset += static_cast<uint64_t>(result.report.programs_generated);
       findings_offset += result.report.findings.size();
       SaveShardResultFile(ResultPath(scratch, range.index), result);
@@ -392,19 +390,14 @@ CoordinatorOutcome RunShardCoordinator(const ShardCoordinatorOptions& options,
   outcome.report.run_start_micros = run_start_micros;
 
   // The single fold a one-process run performs, now on the cross-shard
-  // merged state: raw shard registries/maps first (shard order), then the
+  // merged state: raw shard telemetry first (shard order), then the
   // report's deterministic domains exactly once.
-  for (const ShardResult& result : results) {
-    if (options.campaign.metrics != nullptr) {
-      options.campaign.metrics->MergeFrom(result.metrics);
+  if (sinks != nullptr) {
+    for (const ShardResult& result : results) {
+      sinks->Merge(&result.metrics, &result.coverage);
     }
-    if (options.campaign.coverage != nullptr) {
-      options.campaign.coverage->MergeFrom(result.coverage);
-    }
+    sinks->Fold(outcome.report, bugs, options.campaign.use_cache ? &outcome.cache_stats : nullptr);
   }
-  FoldReportTelemetry(outcome.report, bugs,
-                      options.campaign.use_cache ? &outcome.cache_stats : nullptr,
-                      options.campaign.metrics, options.campaign.coverage);
 
   if (!options.corpus_dir.empty()) {
     std::vector<std::string> shard_corpora;

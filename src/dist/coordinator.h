@@ -23,8 +23,8 @@ namespace gauntlet {
 //   * corpora     MergeCorpusStores (manifest union, earliest shard wins);
 //   * caches      MergeValidationCacheFiles (fingerprint dedup).
 //
-// then performs the single report fold (FoldReportTelemetry) a one-process
-// run would perform. The deterministic sections of the merged
+// then performs the single report fold (RunSinks::Fold) a one-process run
+// would perform. The deterministic sections of the merged
 // report, metrics.json, coverage.json and the corpus manifest are therefore
 // byte-identical to a single-process run of the same N/seed for ANY shard
 // topology x --jobs combination, cache on or off — the CI shard-identity
@@ -33,8 +33,8 @@ namespace gauntlet {
 
 struct ShardCoordinatorOptions {
   // The full campaign (N = campaign.num_programs, the global index space).
-  // The metrics/coverage sinks receive the merged-and-folded telemetry;
-  // campaign.trace must be null (traces are per-process, never sharded).
+  // campaign.sinks receives the merged-and-folded telemetry; it must not
+  // collect a trace (traces are per-process, never sharded).
   CampaignOptions campaign;
   int shards = 1;
   int jobs = 1;  // worker threads per shard

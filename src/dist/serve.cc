@@ -16,10 +16,8 @@
 #include "src/cache/verdict_cache.h"
 #include "src/frontend/parser.h"
 #include "src/obs/health.h"
-#include "src/obs/run_report.h"
 #include "src/runtime/corpus.h"
 #include "src/support/error.h"
-#include "src/support/file_io.h"
 #include "src/support/json.h"
 #include "src/support/record.h"
 #include "src/target/target.h"
@@ -174,18 +172,8 @@ int ConnectUnixSocket(const std::string& socket_path) {
 
 GauntletServer::GauntletServer(ServeOptions options, BugConfig bugs)
     : options_(std::move(options)), base_bugs_(std::move(bugs)) {
-  // Out paths (and the status dir, whose snapshots embed a metrics view)
-  // need sinks; wire in server-owned ones wherever the caller injected none.
-  if (options_.campaign.metrics == nullptr &&
-      (!options_.metrics_out.empty() || !options_.status_dir.empty())) {
-    options_.campaign.metrics = &own_metrics_;
-  }
-  if (options_.campaign.coverage == nullptr &&
-      (!options_.coverage_out.empty() || !options_.status_dir.empty())) {
-    options_.campaign.coverage = &own_coverage_;
-  }
-  if (options_.campaign.trace == nullptr && !options_.trace_out.empty()) {
-    options_.campaign.trace = &own_trace_;
+  if (options_.campaign.sinks != nullptr && !options_.status_dir.empty()) {
+    options_.campaign.sinks->Collect(RunSinks::kMetrics);
   }
 }
 
@@ -291,10 +279,6 @@ std::string GauntletServer::HandleSubmission(const std::string& payload) {
     if (!targets.empty()) {
       per_request.targets = targets;
     }
-    per_request.metrics = nullptr;   // instrumentation flows via the scoped
-    per_request.coverage = nullptr;  // sinks Run() installs per request
-    per_request.trace = nullptr;
-    per_request.progress = nullptr;
     const Campaign campaign(per_request);
     campaign.TestProgram(*program, bugs, program_index, submission,
                          options_.campaign.use_cache ? cache_.get() : nullptr);
@@ -339,13 +323,7 @@ std::string GauntletServer::HandleSubmission(const std::string& payload) {
   return json.str();
 }
 
-void GauntletServer::FoldTelemetry(MetricsRegistry* metrics, CoverageMap* coverage) const {
-  const CacheStats stats = cache_ != nullptr ? cache_->Stats() : CacheStats{};
-  FoldReportTelemetry(report_, base_bugs_, cache_ != nullptr ? &stats : nullptr, metrics,
-                      coverage);
-}
-
-Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
+Snapshot GauntletServer::FlushAndSnapshot() {
   Snapshot snapshot;
   snapshot.role = "serve";
   snapshot.phase = phase_.load(std::memory_order_relaxed);
@@ -353,56 +331,26 @@ Snapshot GauntletServer::FlushAndSnapshot(bool final_flush) {
   snapshot.started_unix_ms = started_unix_ms_;
   snapshot.updated_unix_ms = UnixNowMillis();
 
-  const bool have_metrics = options_.campaign.metrics != nullptr;
-  const bool have_coverage = options_.campaign.coverage != nullptr;
-  MetricsRegistry metrics;
-  CoverageMap coverage;
-  std::string trace_json;
+  RunSinks* const sinks = options_.campaign.sinks;
+  RunSinks::Files files;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    if (have_metrics) {
-      metrics = *options_.campaign.metrics;
-    }
-    if (have_coverage) {
-      coverage = *options_.campaign.coverage;
-    }
-    if (!folded_) {
-      // Fold the campaign domains on the *copies*: the in-place fold
-      // happens exactly once, after the accept loop — flushing mid-session
-      // must not double-count into the shared sinks.
-      FoldTelemetry(have_metrics ? &metrics : nullptr, have_coverage ? &coverage : nullptr);
+    if (sinks != nullptr) {
+      const CacheStats stats = cache_ != nullptr ? cache_->Stats() : CacheStats{};
+      const RunSinks::PendingFold pending{report_, base_bugs_,
+                                          cache_ != nullptr ? &stats : nullptr};
+      files = sinks->Render(&pending);
     }
     snapshot.requests_served = static_cast<uint64_t>(served_);
     snapshot.programs_done = static_cast<uint64_t>(served_);
     snapshot.tests_generated = static_cast<uint64_t>(report_.tests_generated);
     snapshot.findings = report_.findings.size();
     snapshot.distinct_bugs = report_.DistinctCount();
-    if (!options_.trace_out.empty() && options_.campaign.trace != nullptr) {
-      // Span buffers are appended under state_mutex_ (the accept loop holds
-      // it across each request), so reading them here is race-free.
-      trace_json = TraceJson(options_.campaign.trace->SortedEvents());
-    }
   }
-  if (have_metrics) {
-    RecordProcessSelfStats(metrics);
-    snapshot.metrics_json = MetricsJson(metrics);
+  snapshot.metrics_json = files.metrics;
+  if (sinks != nullptr) {
+    sinks->Flush(files);  // best-effort: the final Write in Run() is the fatal one
   }
-
-  const auto write = [final_flush](const std::string& path, const std::string& content) {
-    if (path.empty()) {
-      return;
-    }
-    if (!WriteFileAtomic(path, content) && final_flush) {
-      throw CompileError("serve: cannot write '" + path + "'");
-    }
-  };
-  if (have_metrics) {
-    write(options_.metrics_out, snapshot.metrics_json);
-  }
-  if (have_coverage) {
-    write(options_.coverage_out, CoverageJson(coverage));
-  }
-  write(options_.trace_out, trace_json);
   return snapshot;
 }
 
@@ -414,15 +362,12 @@ int GauntletServer::Run() {
   if (corpus_ == nullptr && !options_.corpus_dir.empty()) {
     corpus_ = std::make_unique<CorpusStore>(options_.corpus_dir);
   }
-  if (trace_buffer_ == nullptr && options_.campaign.trace != nullptr) {
-    trace_buffer_ = options_.campaign.trace->NewBuffer(0);
-  }
   started_unix_ms_ = UnixNowMillis();
   phase_.store("serving", std::memory_order_relaxed);
   if (emitter_ == nullptr && !options_.status_dir.empty()) {
     emitter_ = std::make_unique<StatusEmitter>(
         options_.status_dir, options_.snapshot_interval_ms,
-        [this]() { return FlushAndSnapshot(/*final_flush=*/false); });
+        [this]() { return FlushAndSnapshot(); });
   }
   ScopedStopSignals stop_signals(options_.install_signal_handlers);
 
@@ -458,9 +403,7 @@ int GauntletServer::Run() {
       // boundaries. The span (declared after the sinks, so it folds its
       // time before they uninstall) feeds the request-latency histogram.
       std::lock_guard<std::mutex> lock(state_mutex_);
-      ScopedMetricsSink metrics_sink(options_.campaign.metrics);
-      ScopedCoverageSink coverage_sink(options_.campaign.coverage);
-      ScopedTraceSink trace_sink(trace_buffer_);
+      const RunSinks::Scope sink_scope(options_.campaign.sinks);
       uint64_t latency_micros = 0;
       {
         TraceSpan span("request", "serve");
@@ -485,21 +428,19 @@ int GauntletServer::Run() {
   // The single fold a batch campaign performs, applied to everything this
   // serving session absorbed — so --metrics-out/--coverage-out from `serve`
   // carry the same campaign/... domains a batch run writes.
-  {
+  RunSinks* const sinks = options_.campaign.sinks;
+  if (sinks != nullptr) {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    if (!folded_) {
-      folded_ = true;
-      FoldTelemetry(options_.campaign.metrics, options_.campaign.coverage);
-    }
+    const CacheStats stats = cache_ != nullptr ? cache_->Stats() : CacheStats{};
+    sinks->Fold(report_, base_bugs_, cache_ != nullptr ? &stats : nullptr);
   }
   phase_.store("done", std::memory_order_relaxed);
   if (emitter_ != nullptr) {
     emitter_->Stop();  // final snapshot: phase "done", folded sinks
     emitter_.reset();
   }
-  if (!options_.metrics_out.empty() || !options_.coverage_out.empty() ||
-      !options_.trace_out.empty()) {
-    FlushAndSnapshot(/*final_flush=*/true);
+  if (sinks != nullptr) {
+    sinks->Write();
   }
   return served_;
 }

@@ -8,10 +8,7 @@
 #include <vector>
 
 #include "src/gauntlet/campaign.h"
-#include "src/obs/coverage.h"
-#include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
-#include "src/obs/trace.h"
 
 namespace gauntlet {
 
@@ -25,8 +22,8 @@ class CorpusStore;
 // validate (§5) + testgen (§6) + execute on the selected targets — and
 // streams the verdict back as one JSON object. Every submission folds into
 // the server's shared sinks: the corpus store (reproducer triples +
-// manifest), the metrics registry, and the coverage map, so an absorbed
-// traffic stream accumulates exactly the artifacts a batch campaign writes.
+// manifest) and the telemetry bundle, so an absorbed traffic stream
+// accumulates exactly the artifacts a batch campaign writes.
 //
 // Wire protocol (versioned, length-prefixed):
 //
@@ -58,9 +55,12 @@ struct ServeOptions {
   // replaced (the crashed-predecessor case).
   std::string socket_path;
   // Detection configuration for every submission: targets, tv/testgen
-  // budgets, use_cache, attribute_findings, and the shared
-  // metrics/coverage/trace sinks. num_programs/seed/generator are unused —
-  // the traffic stream replaces the generator.
+  // budgets, use_cache, attribute_findings, and the session's telemetry
+  // bundle (campaign.sinks). num_programs/seed/generator are unused — the
+  // traffic stream replaces the generator. The bundle's files are rewritten
+  // atomically on every status emission and once more — fatally on
+  // failure — when Run() returns, so a killed server keeps its telemetry up
+  // to the last flush.
   CampaignOptions campaign;
   // When non-empty, every submission's findings persist as reproducer
   // triples here (manifest-indexed, deduped across submissions).
@@ -68,17 +68,10 @@ struct ServeOptions {
   // Stop after this many submissions even without a shutdown request;
   // 0 = serve until shutdown. Lets tests and smoke gates bound the loop.
   int max_requests = 0;
-  // Telemetry output files. When a path is set and the matching
-  // campaign sink is null, the server wires in a sink it owns. The files
-  // are (re)written atomically on every status emission and once more —
-  // fatally on failure — when Run() returns, so a killed server keeps its
-  // telemetry up to the last flush.
-  std::string metrics_out;
-  std::string coverage_out;
-  std::string trace_out;
   // Live-status directory (src/obs/snapshot.h): snapshot + heartbeat every
   // snapshot_interval_ms, plus a sink flush alongside each emission. Empty
-  // = no snapshots.
+  // = no snapshots. Snapshots embed the bundle's metrics, so the server
+  // turns them on when a bundle is given.
   std::string status_dir;
   int snapshot_interval_ms = 1000;
   // Install SIGTERM/SIGINT handlers for the duration of Run(): a stop
@@ -116,36 +109,23 @@ class GauntletServer {
 
  private:
   std::string HandleSubmission(const std::string& payload);
-  // The session's single report fold (FoldReportTelemetry over report_ and
-  // the cache counters) into the given sinks; the caller holds
-  // state_mutex_.
-  void FoldTelemetry(MetricsRegistry* metrics, CoverageMap* coverage) const;
-  // Copies the shared state under the mutex, folds the campaign domains on
-  // the copies (when not yet folded in place), rewrites the telemetry out
-  // files atomically, and returns the status snapshot the state implies.
-  // Doubles as the StatusEmitter provider; `final_flush` makes a failed
-  // file write fatal instead of best-effort.
-  Snapshot FlushAndSnapshot(bool final_flush);
+  // Renders the bundle under the state mutex (a session not yet folded
+  // shows its report folded into copies), flushes the files best-effort and
+  // returns the status snapshot the state implies. The StatusEmitter
+  // provider.
+  Snapshot FlushAndSnapshot();
 
   ServeOptions options_;
   BugConfig base_bugs_;
   int listen_fd_ = -1;
   int served_ = 0;
   bool shutdown_requested_ = false;
-  bool folded_ = false;
   CampaignReport report_;
   std::unique_ptr<ValidationCache> cache_;
   std::unique_ptr<CorpusStore> corpus_;
-  // Server-owned sinks, wired into options_.campaign by the constructor
-  // when an out path (or status dir) asks for telemetry the caller did not
-  // inject sinks for.
-  MetricsRegistry own_metrics_;
-  CoverageMap own_coverage_;
-  TraceCollector own_trace_;
-  TraceBuffer* trace_buffer_ = nullptr;
-  // Guards served_/report_/cache_ and the campaign sinks: the accept loop
+  // Guards served_/report_/cache_ and the bundle's sinks: the accept loop
   // holds it across each submission, the status emitter thread takes it to
-  // copy state for a flush.
+  // render the sinks for a flush.
   std::mutex state_mutex_;
   std::atomic<const char*> phase_{"starting"};
   uint64_t started_unix_ms_ = 0;

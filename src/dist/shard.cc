@@ -290,36 +290,29 @@ ShardResult LoadShardResultFile(const std::string& path) {
   return LoadShardResult(in);
 }
 
-ShardResult RunShardWorker(const ShardWorkerOptions& options, const BugConfig& bugs) {
-  if (options.range.begin < 0 || options.range.end < options.range.begin) {
-    throw CompileError("invalid shard range [" + std::to_string(options.range.begin) + ", " +
-                       std::to_string(options.range.end) + ")");
+ShardResult RunShardWorker(const ParallelCampaignOptions& options, ShardRange range,
+                           const BugConfig& bugs) {
+  if (range.begin < 0 || range.end < range.begin) {
+    throw CompileError("invalid shard range [" + std::to_string(range.begin) + ", " +
+                       std::to_string(range.end) + ")");
   }
   ShardResult result;
-  result.range = options.range;
+  result.range = range;
 
-  ParallelCampaignOptions campaign = {};
-  campaign.campaign = options.campaign;
-  campaign.campaign.num_programs = options.range.size();
-  campaign.index_begin = options.range.begin;
-  campaign.fold_report_metrics = false;
-  campaign.jobs = options.jobs;
-  campaign.corpus_dir = options.corpus_dir;
-  campaign.cache_file = options.cache_file;
-  // The worker protocol always carries telemetry: collection is
-  // observation-only (reports are bit-identical either way), and the
-  // coordinator needs the raw registries to reproduce a single-process
-  // --metrics-out/--coverage-out run whatever the topology.
-  campaign.campaign.metrics = &result.metrics;
-  campaign.campaign.coverage = &result.coverage;
-  // Traces stay per-process: a worker may collect its own (--trace-out),
-  // but the shard-result protocol never carries one.
-  campaign.campaign.trace = options.trace;
-  campaign.status_dir = options.status_dir;
-  campaign.status_role = options.status_role;
-  campaign.snapshot_interval_ms = options.snapshot_interval_ms;
+  ParallelCampaignOptions shard = options;
+  shard.campaign.num_programs = range.size();
+  shard.index_begin = range.begin;
+  // Collection is observation-only (reports are bit-identical either way),
+  // and the coordinator needs the raw registries to reproduce a
+  // single-process --metrics-out/--coverage-out run whatever the topology.
+  RunSinks own_sinks;
+  RunSinks& sinks = shard.campaign.sinks != nullptr ? *shard.campaign.sinks : own_sinks;
+  sinks.Collect(RunSinks::kMetrics | RunSinks::kCoverage);
+  shard.campaign.sinks = &sinks;
 
-  result.report = ParallelCampaign(campaign).Run(bugs, &result.cache_stats);
+  result.report = ParallelCampaign(shard).Run(bugs, &result.cache_stats);
+  result.metrics = *sinks.metrics();
+  result.coverage = *sinks.coverage();
   return result;
 }
 

@@ -9,6 +9,7 @@
 #include "src/gauntlet/campaign.h"
 #include "src/obs/coverage.h"
 #include "src/obs/metrics.h"
+#include "src/runtime/parallel_campaign.h"
 
 namespace gauntlet {
 
@@ -39,8 +40,8 @@ std::vector<ShardRange> PartitionIndexSpace(int total, int shards);
 
 // Everything one shard worker hands back to the coordinator: the unfolded
 // campaign report (global indices throughout), the raw merged per-worker
-// telemetry, and the cache counters. "Unfolded" means FoldReportTelemetry
-// has NOT been applied — the distinct-bug domains it computes do not sum
+// telemetry, and the cache counters. "Unfolded" means RunSinks::Fold has
+// NOT been applied — the distinct-bug domains it computes do not sum
 // across shards, so the coordinator folds exactly once on the cross-shard
 // merged report, the same single fold a one-process run performs.
 struct ShardResult {
@@ -65,36 +66,16 @@ ShardResult LoadShardResult(std::istream& in);
 void SaveShardResultFile(const std::string& path, const ShardResult& result);
 ShardResult LoadShardResultFile(const std::string& path);
 
-struct ShardWorkerOptions {
-  // Campaign configuration (seed, budgets, targets, cache switch). The
-  // num_programs field is ignored: the shard range below is authoritative.
-  CampaignOptions campaign;
-  ShardRange range;
-  int jobs = 1;
-  // Shard-private corpus directory; empty = no corpus. The coordinator
-  // merges shard corpora with MergeCorpusStores afterwards.
-  std::string corpus_dir;
-  // Shard-private warm-start cache file (load + rewrite); empty = none.
-  std::string cache_file;
-  // Live-status directory for this shard (src/obs/snapshot.h); empty = no
-  // snapshots/heartbeats. The coordinator points each worker at its own
-  // subdirectory of the fleet status dir and aggregates the heartbeats.
-  std::string status_dir;
-  std::string status_role = "shard";
-  int snapshot_interval_ms = 1000;
-  // Optional per-process trace collector (`shard-worker --trace-out`).
-  // Traces are per-process artifacts: each worker may collect its own, but
-  // they never travel through the shard-result protocol or merge across
-  // the fleet.
-  TraceCollector* trace = nullptr;
-};
-
-// Runs one shard in-process: a ParallelCampaign over the range with
-// index_begin = range.begin and fold_report_metrics = false, collecting
-// metrics and coverage into the result regardless of caller sinks (the
-// worker protocol always carries telemetry; the coordinator decides what
-// to surface). This is also the body of the `gauntlet shard-worker` verb.
-ShardResult RunShardWorker(const ShardWorkerOptions& options, const BugConfig& bugs);
+// Runs one shard in-process: `options` (seed, budgets, targets, cache
+// switch, jobs, shard-private corpus/cache file/status dir) as a
+// ParallelCampaign over `range` — campaign.num_programs is ignored, the
+// range is authoritative. The worker protocol always carries telemetry: the
+// shard collects metrics and coverage into options.campaign.sinks (turning
+// them on there) or, when that is null, into a bundle of its own, and the
+// result carries them unfolded. This is also the body of the
+// `gauntlet shard-worker` verb.
+ShardResult RunShardWorker(const ParallelCampaignOptions& options, ShardRange range,
+                           const BugConfig& bugs);
 
 }  // namespace gauntlet
 

@@ -1,13 +1,17 @@
 #include "src/gauntlet/campaign.h"
 
+#include <cstdio>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "src/cache/verdict_cache.h"
 #include "src/frontend/printer.h"
 #include "src/obs/coverage.h"
 #include "src/obs/metrics.h"
+#include "src/obs/run_report.h"
 #include "src/obs/trace.h"
+#include "src/support/file_io.h"
 #include "src/target/lowering.h"
 #include "src/target/target.h"
 #include "src/tv/validator.h"
@@ -603,17 +607,122 @@ GeneratorOptions Campaign::EffectiveGeneratorOptions() const {
   return generator;
 }
 
-void FoldReportTelemetry(const CampaignReport& report, const BugConfig& bugs,
-                         const CacheStats* cache_stats, MetricsRegistry* metrics,
-                         CoverageMap* coverage) {
-  if (metrics != nullptr) {
-    report.RecordMetrics(*metrics);
+RunSinks::RunSinks(Paths paths, unsigned collect) : paths_(std::move(paths)) {
+  Collect(collect | (paths_.metrics.empty() ? 0u : kMetrics) |
+          (paths_.trace.empty() ? 0u : kTrace) | (paths_.coverage.empty() ? 0u : kCoverage));
+}
+
+RunSinks::RunSinks(RunSinks& run, int index) {
+  if (run.metrics_) {
+    metrics_.emplace();
+  }
+  if (run.coverage_) {
+    coverage_.emplace();
+  }
+  if (run.trace_) {
+    trace_buffer_ = run.trace_->NewBuffer(index);
+  }
+}
+
+RunSinks::~RunSinks() {
+  if (written_ || !WritesFiles()) {
+    return;
+  }
+  const std::string failed = WriteFiles(Render());
+  if (!failed.empty()) {
+    std::fprintf(stderr, "gauntlet: cannot write telemetry file '%s'\n", failed.c_str());
+  }
+}
+
+void RunSinks::Collect(unsigned sinks) {
+  if ((sinks & kMetrics) != 0 && !metrics_) {
+    metrics_.emplace();
+  }
+  if ((sinks & kCoverage) != 0 && !coverage_) {
+    coverage_.emplace();
+  }
+  if ((sinks & kTrace) != 0 && !trace_) {
+    trace_.emplace();
+    trace_buffer_ = trace_->NewBuffer(0);
+  }
+}
+
+RunSinks::Scope::Scope(RunSinks* sinks)
+    : metrics_(sinks != nullptr ? sinks->metrics() : nullptr),
+      coverage_(sinks != nullptr ? sinks->coverage() : nullptr),
+      trace_(sinks != nullptr ? sinks->trace_buffer_ : nullptr) {}
+
+void RunSinks::Merge(const MetricsRegistry* metrics, const CoverageMap* coverage) {
+  if (metrics_ && metrics != nullptr) {
+    metrics_->MergeFrom(*metrics);
+  }
+  if (coverage_ && coverage != nullptr) {
+    coverage_->MergeFrom(*coverage);
+  }
+}
+
+void RunSinks::Fold(const CampaignReport& report, const BugConfig& bugs,
+                    const CacheStats* cache_stats) {
+  folded_ = true;
+  if (metrics_) {
+    report.RecordMetrics(*metrics_);
     if (cache_stats != nullptr) {
-      cache_stats->RecordMetrics(*metrics);
+      cache_stats->RecordMetrics(*metrics_);
     }
   }
-  if (coverage != nullptr) {
-    report.RecordCoverage(*coverage, bugs);
+  if (coverage_) {
+    report.RecordCoverage(*coverage_, bugs);
+  }
+}
+
+RunSinks::Files RunSinks::Render(const PendingFold* pending) const {
+  // Render from copies: the self-stats gauges and a pending fold must not
+  // land in the live sinks.
+  RunSinks view;
+  view.metrics_ = metrics_;
+  if (!paths_.coverage.empty()) {
+    view.coverage_ = coverage_;
+  }
+  if (pending != nullptr && !folded_) {
+    view.Fold(pending->report, pending->bugs, pending->cache_stats);
+  }
+  Files files;
+  if (view.metrics_) {
+    RecordProcessSelfStats(*view.metrics_);
+    files.metrics = MetricsJson(*view.metrics_);
+  }
+  if (view.coverage_) {
+    files.coverage = CoverageJson(*view.coverage_);
+  }
+  if (trace_ && !paths_.trace.empty()) {
+    files.trace = TraceJson(trace_->SortedEvents());
+  }
+  return files;
+}
+
+std::string RunSinks::WriteFiles(const Files& files) const {
+  std::string failed;
+  const auto write = [&failed](const std::string& path, const std::string& content) {
+    if (!path.empty() && !WriteFileAtomic(path, content) && failed.empty()) {
+      failed = path;
+    }
+  };
+  write(paths_.metrics, files.metrics);
+  write(paths_.trace, files.trace);
+  write(paths_.coverage, files.coverage);
+  return failed;
+}
+
+bool RunSinks::Flush(const Files& files) const { return WriteFiles(files).empty(); }
+
+void RunSinks::Write() {
+  written_ = true;
+  if (!WritesFiles()) {
+    return;
+  }
+  const std::string failed = WriteFiles(Render());
+  if (!failed.empty()) {
+    throw CompileError("cannot write telemetry file '" + failed + "'");
   }
 }
 

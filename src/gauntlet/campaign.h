@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "src/gen/generator.h"
+#include "src/obs/coverage.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/passes/bugs.h"
 #include "src/target/target.h"
 #include "src/testgen/testgen.h"
@@ -18,9 +21,7 @@
 namespace gauntlet {
 
 struct CacheStats;
-class CoverageMap;
-class MetricsRegistry;
-class TraceCollector;
+class RunSinks;
 class ValidationCache;
 
 // How a finding was detected — the paper's three techniques.
@@ -79,18 +80,11 @@ struct CampaignOptions {
   // --- observability (src/obs/), all optional and observation-only ---
   // Findings and reports are bit-identical with these on or off.
   //
-  // Destination for the run's metrics; the driver merges per-worker
-  // registries into it in worker-index order and folds in the report's
-  // deterministic counters. Owned by the caller, must outlive the run.
-  MetricsRegistry* metrics = nullptr;
-  // Destination for TraceSpan phase timings (Chrome trace-event JSON via
-  // src/obs/run_report.h). Owned by the caller, must outlive the run.
-  TraceCollector* trace = nullptr;
-  // Destination for the semantic coverage map (src/obs/coverage.h): the
-  // driver merges per-worker maps into it in worker-index order and folds
-  // in the fault-trigger / detection-latency domains computed on the merged
-  // report. Owned by the caller, must outlive the run.
-  CoverageMap* coverage = nullptr;
+  // The run's telemetry bundle (RunSinks below); null = no telemetry. The
+  // driver installs one worker bundle per worker and merges them into it in
+  // worker-index order; the run's owner folds the merged report once and
+  // writes the files. Owned by the caller, must outlive the run.
+  RunSinks* sinks = nullptr;
   // Called after each tested program with (programs done, findings so far).
   // May be invoked concurrently from workers; drives `--progress`.
   std::function<void(uint64_t, uint64_t)> progress;
@@ -157,13 +151,115 @@ struct CampaignReport {
   void RecordCoverage(CoverageMap& map, const BugConfig& bugs) const;
 };
 
-// The end-of-run telemetry fold every campaign driver performs exactly once,
-// on its merged report: the report's campaign/... counters plus, when
-// `cache_stats` is non-null, the cache counters into `metrics`, and the
-// campaign-level coverage domains into `coverage`. Null sinks are skipped.
-void FoldReportTelemetry(const CampaignReport& report, const BugConfig& bugs,
-                         const CacheStats* cache_stats, MetricsRegistry* metrics,
-                         CoverageMap* coverage);
+// The run-sink bundle: a run's metrics registry, trace collector and
+// coverage map, plus the files they are written to. Every driver wires its
+// telemetry through one the same way — the campaign, shard-worker,
+// validate/testgen/replay and serve commands, ParallelCampaign, the shard
+// worker and the shard coordinator:
+//
+//   * Scope installs a bundle's sinks as the thread's sinks (src/obs/);
+//   * a worker bundle (the two-argument constructor) collects one worker's
+//     share, and Merge folds worker bundles back in worker-index order;
+//   * Fold folds the merged report's campaign domains in, once per run;
+//   * Write renders and writes every requested file through
+//     WriteFileAtomic, fatally; Flush writes a mid-session rendering and
+//     only reports failure.
+class RunSinks {
+ public:
+  // Sinks to collect whether or not a file asks for them.
+  enum Sink : unsigned { kMetrics = 1u << 0, kTrace = 1u << 1, kCoverage = 1u << 2 };
+  // Output files; an empty path writes nothing.
+  struct Paths {
+    std::string metrics;
+    std::string trace;
+    std::string coverage;
+  };
+  // The files rendered at one instant. `metrics` is rendered whenever
+  // metrics are collected (serve snapshots embed it); `trace` and
+  // `coverage` only when their file is requested.
+  struct Files {
+    std::string metrics;
+    std::string trace;
+    std::string coverage;
+  };
+  // A merged report whose fold is still to come (a live serve session).
+  struct PendingFold {
+    const CampaignReport& report;
+    const BugConfig& bugs;
+    const CacheStats* cache_stats;
+  };
+
+  // Collects every sink whose path is set, plus those in `collect`.
+  explicit RunSinks(Paths paths = {}, unsigned collect = 0);
+  // Worker `index`'s bundle of `run`: its own registry and map for each of
+  // those `run` collects, and a buffer of `run`'s trace collector.
+  RunSinks(RunSinks& run, int index);
+  // Requested files never written (the command threw first) are written
+  // best-effort here: the failed runs are where telemetry helps most.
+  ~RunSinks();
+  RunSinks(const RunSinks&) = delete;
+  RunSinks& operator=(const RunSinks&) = delete;
+
+  // Turns on more sinks: what the bundle's owner needs beyond the files
+  // (serve --status-dir embeds metrics in its snapshots; shard workers
+  // always ship metrics and coverage). Call before the run starts.
+  void Collect(unsigned sinks);
+
+  // The sinks; null when off.
+  MetricsRegistry* metrics() { return metrics_ ? &*metrics_ : nullptr; }
+  const MetricsRegistry* metrics() const { return metrics_ ? &*metrics_ : nullptr; }
+  CoverageMap* coverage() { return coverage_ ? &*coverage_ : nullptr; }
+  const CoverageMap* coverage() const { return coverage_ ? &*coverage_ : nullptr; }
+  TraceCollector* trace() { return trace_ ? &*trace_ : nullptr; }
+
+  // Installs `sinks` (null = none) as this thread's sinks for a scope.
+  class Scope {
+   public:
+    explicit Scope(RunSinks* sinks);
+
+   private:
+    ScopedMetricsSink metrics_;
+    ScopedCoverageSink coverage_;
+    ScopedTraceSink trace_;
+  };
+
+  // Merges a worker's (or shard's) raw telemetry into the collected sinks;
+  // null arguments are skipped. Merging in worker-index order keeps the
+  // deterministic sections identical for any --jobs and shard topology.
+  void Merge(const MetricsRegistry* metrics, const CoverageMap* coverage);
+
+  // The end-of-run fold, once per run, on the merged report: its
+  // campaign/... counters plus, when `cache_stats` is non-null, the cache
+  // counters into metrics, and the campaign-level domains into coverage.
+  void Fold(const CampaignReport& report, const BugConfig& bugs, const CacheStats* cache_stats);
+
+  // Renders the files; metrics.json carries the process's resource
+  // footprint. With `pending` set and no Fold yet, metrics and coverage show
+  // it folded into copies, so the in-place fold still happens only once.
+  Files Render(const PendingFold* pending = nullptr) const;
+  // Writes `files` to the requested paths; false when any write failed.
+  bool Flush(const Files& files) const;
+  // The final write: renders and writes every requested file, throwing
+  // CompileError naming the first one that cannot be written.
+  void Write();
+
+ private:
+  bool WritesFiles() const {
+    return !paths_.metrics.empty() || !paths_.trace.empty() || !paths_.coverage.empty();
+  }
+  // The first requested path whose write failed; empty on success.
+  std::string WriteFiles(const Files& files) const;
+
+  Paths paths_;
+  std::optional<MetricsRegistry> metrics_;
+  std::optional<CoverageMap> coverage_;
+  std::optional<TraceCollector> trace_;
+  // What Scope installs: the root bundle's own buffer of trace_, or the
+  // worker's buffer of its run's collector.
+  TraceBuffer* trace_buffer_ = nullptr;
+  bool folded_ = false;
+  bool written_ = false;
+};
 
 // The per-program detection machinery of the end-to-end bug-finding
 // campaign: translation validation over the open pass pipeline (§5) and

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/support/error.h"
-#include "src/support/file_io.h"
 #include "src/support/json.h"
 
 namespace gauntlet {
@@ -278,10 +277,6 @@ CoverageDiff DiffCoverage(const CoverageMap& before, const CoverageMap& after) {
   out << "deterministic differences: " << diff.deterministic_differences << "\n";
   diff.text = out.str();
   return diff;
-}
-
-bool WriteCoverageFile(const std::string& path, const CoverageMap& map) {
-  return WriteFile(path, CoverageJson(map));
 }
 
 }  // namespace gauntlet

@@ -145,9 +145,6 @@ CoverageDiff DiffCoverage(const CoverageMap& before, const CoverageMap& after);
 // line per violation to *out.
 int CoverageBlindSpotViolations(const CoverageMap& map, std::string* out);
 
-// False when the file cannot be opened or the write fails.
-bool WriteCoverageFile(const std::string& path, const CoverageMap& map);
-
 }  // namespace gauntlet
 
 #endif  // SRC_OBS_COVERAGE_H_

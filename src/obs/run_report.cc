@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "src/support/file_io.h"
 #include "src/support/json.h"
 
 namespace gauntlet {
@@ -67,39 +66,12 @@ std::string MetricsJson(const MetricsRegistry& registry) {
 }
 
 std::string DeterministicSection(const std::string& metrics_json) {
-  const std::string marker = "\"deterministic\": ";
-  const size_t at = metrics_json.find(marker);
-  if (at == std::string::npos) {
+  const JsonValue root = JsonValue::Parse(metrics_json);
+  const JsonValue* section = root.Find("deterministic");
+  if (section == nullptr) {
     return "";
   }
-  size_t open = metrics_json.find('{', at);
-  if (open == std::string::npos) {
-    return "";
-  }
-  int depth = 0;
-  bool in_string = false;
-  for (size_t i = open; i < metrics_json.size(); ++i) {
-    const char c = metrics_json[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      if (depth == 0) {
-        return metrics_json.substr(open, i - open + 1);
-      }
-    }
-  }
-  return "";
+  return metrics_json.substr(section->begin(), section->end() - section->begin());
 }
 
 std::string TraceJson(const std::vector<TraceEvent>& events) {
@@ -128,14 +100,6 @@ std::string TraceJson(const std::vector<TraceEvent>& events) {
   }
   out << "\n], \"displayTimeUnit\": \"ms\"}\n";
   return out.str();
-}
-
-bool WriteMetricsFile(const std::string& path, const MetricsRegistry& registry) {
-  return WriteFile(path, MetricsJson(registry));
-}
-
-bool WriteTraceFile(const std::string& path, const TraceCollector& collector) {
-  return WriteFile(path, TraceJson(collector.SortedEvents()));
 }
 
 }  // namespace gauntlet

@@ -28,20 +28,15 @@ inline constexpr int kRunReportVersion = 2;
 // campaign determinism tests and CI gates diff on.
 std::string MetricsJson(const MetricsRegistry& registry);
 
-// Extracts the byte span of the "deterministic": {...} object from a
-// MetricsJson string (brace-matched), for byte-level comparisons without a
-// JSON parser. Returns an empty string if the section is absent.
+// The verbatim bytes of the "deterministic" section of a MetricsJson (or
+// CoverageJson) document, for byte-level comparisons. Returns an empty
+// string if the section is absent; throws CompileError on malformed JSON.
 std::string DeterministicSection(const std::string& metrics_json);
 
 // Renders collected spans in Chrome trace-event format — a JSON object with
 // a "traceEvents" array of complete ("ph":"X") events — loadable in
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 std::string TraceJson(const std::vector<TraceEvent>& events);
-
-// Write helpers; false when the file cannot be opened or the write fails
-// (reporting is the caller's job — the CLI decides whether that is fatal).
-bool WriteMetricsFile(const std::string& path, const MetricsRegistry& registry);
-bool WriteTraceFile(const std::string& path, const TraceCollector& collector);
 
 }  // namespace gauntlet
 

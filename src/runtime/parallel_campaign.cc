@@ -11,7 +11,6 @@
 #include "src/cache/cache_file.h"
 #include "src/cache/verdict_cache.h"
 #include "src/gen/generator.h"
-#include "src/obs/coverage.h"
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/run_report.h"
@@ -72,20 +71,16 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
     }
   }
 
-  // Telemetry sinks mirror the cache layout: one registry and one trace
-  // buffer per worker, owned up front, merged in index order after the run.
-  // Only the merge order matters for determinism — and only for metrics the
-  // instrumentation sites marked deterministic (schedule-independent).
-  const size_t sink_count = static_cast<size_t>(jobs < 1 ? 1 : jobs);
-  std::vector<MetricsRegistry> worker_metrics(
-      options_.campaign.metrics != nullptr ? sink_count : 0);
-  std::vector<CoverageMap> worker_coverage(
-      options_.campaign.coverage != nullptr ? sink_count : 0);
-  std::vector<TraceBuffer*> worker_traces;
-  if (options_.campaign.trace != nullptr) {
-    worker_traces.reserve(sink_count);
-    for (size_t i = 0; i < sink_count; ++i) {
-      worker_traces.push_back(options_.campaign.trace->NewBuffer(static_cast<int>(i)));
+  // Telemetry mirrors the cache layout: one worker bundle per worker, owned
+  // up front, merged in index order after the run. Only the merge order
+  // matters for determinism — and only for metrics the instrumentation
+  // sites marked deterministic (schedule-independent).
+  RunSinks* const sinks = options_.campaign.sinks;
+  std::vector<std::unique_ptr<RunSinks>> worker_sinks;
+  if (sinks != nullptr) {
+    worker_sinks.resize(static_cast<size_t>(jobs < 1 ? 1 : jobs));
+    for (size_t i = 0; i < worker_sinks.size(); ++i) {
+      worker_sinks[i] = std::make_unique<RunSinks>(*sinks, static_cast<int>(i));
     }
   }
   std::atomic<uint64_t> programs_done{0};
@@ -142,16 +137,10 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
   WorkerPool pool(jobs);
   ParallelFor(pool, total, [&](int index) {
     const int worker = WorkerPool::CurrentWorkerIndex();
-    const bool worker_known = worker >= 0 && static_cast<size_t>(worker) < sink_count;
-    ScopedMetricsSink metrics_sink(
-        worker_known && !worker_metrics.empty() ? &worker_metrics[static_cast<size_t>(worker)]
-                                                : nullptr);
-    ScopedCoverageSink coverage_sink(worker_known && !worker_coverage.empty()
-                                         ? &worker_coverage[static_cast<size_t>(worker)]
-                                         : nullptr);
-    ScopedTraceSink trace_sink(worker_known && !worker_traces.empty()
-                                   ? worker_traces[static_cast<size_t>(worker)]
-                                   : nullptr);
+    const RunSinks::Scope sink_scope(
+        worker >= 0 && static_cast<size_t>(worker) < worker_sinks.size()
+            ? worker_sinks[static_cast<size_t>(worker)].get()
+            : nullptr);
     CampaignReport& slot = slots[static_cast<size_t>(index)];
     const int global_index = options_.index_begin + index;
     ProgramPtr program;
@@ -184,31 +173,18 @@ CampaignReport ParallelCampaign::Run(const BugConfig& bugs, CacheStats* stats_ou
   for (CampaignReport& slot : slots) {
     report.Merge(std::move(slot));
   }
-  CacheStats merged_stats;
-  for (const auto& cache : caches) {
-    merged_stats.Merge(cache->Stats());
-  }
-  // Worker registries and maps merge in worker-index order, then the
-  // campaign-level domains are folded once on the merged (schedule-
-  // independent) report — so the deterministic sections of metrics.json and
-  // coverage.json are bit-identical for any jobs value.
-  if (options_.campaign.metrics != nullptr) {
-    for (const MetricsRegistry& registry : worker_metrics) {
-      options_.campaign.metrics->MergeFrom(registry);
-    }
-  }
-  if (options_.campaign.coverage != nullptr) {
-    for (const CoverageMap& map : worker_coverage) {
-      options_.campaign.coverage->MergeFrom(map);
-    }
+  // Worker bundles merge in worker-index order, so the deterministic
+  // sections of metrics.json and coverage.json are bit-identical for any
+  // jobs value once the owner folds the merged report.
+  for (const auto& worker : worker_sinks) {
+    sinks->Merge(worker->metrics(), worker->coverage());
   }
   report.run_start_micros = run_start_micros;
-  if (options_.fold_report_metrics) {
-    FoldReportTelemetry(report, bugs, caches.empty() ? nullptr : &merged_stats,
-                        options_.campaign.metrics, options_.campaign.coverage);
-  }
   if (stats_out != nullptr) {
-    *stats_out = merged_stats;
+    *stats_out = CacheStats{};
+    for (const auto& cache : caches) {
+      stats_out->Merge(cache->Stats());
+    }
   }
 
   // Persist the merged worker caches for the next run. The file contents may

@@ -23,12 +23,6 @@ struct ParallelCampaignOptions {
   // programs — and findings — the single-process run would have assigned
   // to that index range.
   int index_begin = 0;
-  // When false, the caller-provided metrics/coverage sinks receive only the
-  // raw per-worker telemetry (merged in worker-index order) without the
-  // merged-report fold (FoldReportTelemetry). Shard workers run unfolded:
-  // the coordinator folds exactly once on the cross-shard merged report,
-  // the same single fold a one-process run performs.
-  bool fold_report_metrics = true;
   // When non-empty, every distinct finding is persisted as a
   // <key>.p4 / <key>.stf / <key>.finding.json reproducer triple here.
   std::string corpus_dir;
@@ -73,6 +67,11 @@ class ParallelCampaign {
   // `stats_out`, when non-null, receives the cache counters summed over the
   // workers. Kept out of the report: hit patterns depend on which programs
   // each worker happened to claim.
+  //
+  // campaign.sinks receives the workers' raw telemetry, merged in
+  // worker-index order. Run never folds: the run's owner calls
+  // RunSinks::Fold once on the merged report (a shard's owner is the
+  // coordinator, which folds the cross-shard merge).
   CampaignReport Run(const BugConfig& bugs, CacheStats* stats_out = nullptr) const;
 
   // The per-program generator seed: campaign seed XOR a splitmix64 hash of

@@ -48,15 +48,13 @@
 #include "src/gauntlet/campaign.h"
 #include "src/obs/coverage.h"
 #include "src/obs/health.h"
-#include "src/obs/metrics.h"
 #include "src/obs/progress.h"
-#include "src/obs/run_report.h"
 #include "src/obs/snapshot.h"
-#include "src/obs/trace.h"
 #include "src/reduce/reducer.h"
 #include "src/runtime/corpus.h"
 #include "src/runtime/parallel_campaign.h"
 #include "src/support/file_io.h"
+#include "src/support/json.h"
 #include "src/target/target.h"
 #include "src/testgen/testgen.h"
 #include "src/tv/validator.h"
@@ -163,86 +161,20 @@ void ApplySolverSwitches(const ParsedArgs& args, TvOptions& tv, TestGenOptions& 
   }
 }
 
-// Telemetry destinations parsed from --metrics-out/--trace-out/
-// --coverage-out: owns the registry, trace collector and coverage map for
-// the command's lifetime and renders them to disk once the command has
-// finished. The destructor is a best-effort backstop: a command aborting
-// via exception still emits whatever it collected — exactly the runs where
-// the telemetry helps debugging.
-struct Telemetry {
-  explicit Telemetry(const ParsedArgs& args) {
-    if (args.Has("--metrics-out")) {
-      metrics_path = args.Last("--metrics-out");
-    }
-    if (args.Has("--trace-out")) {
-      trace_path = args.Last("--trace-out");
-    }
-    if (args.Has("--coverage-out")) {
-      coverage_path = args.Last("--coverage-out");
-    }
+// The telemetry files --metrics-out/--trace-out/--coverage-out request.
+RunSinks::Paths SinkPaths(const ParsedArgs& args) {
+  RunSinks::Paths paths;
+  if (args.Has("--metrics-out")) {
+    paths.metrics = args.Last("--metrics-out");
   }
-
-  ~Telemetry() { WriteFiles(/*throw_on_failure=*/false); }
-
-  MetricsRegistry* registry_or_null() { return metrics_path.empty() ? nullptr : &registry; }
-  TraceCollector* collector_or_null() { return trace_path.empty() ? nullptr : &collector; }
-  CoverageMap* coverage_or_null() { return coverage_path.empty() ? nullptr : &coverage; }
-
-  // Renders both files once; later calls (including the destructor's) are
-  // no-ops. Success paths call this so the command exits nonzero when an
-  // artifact it promised cannot be written.
-  void Write() { WriteFiles(/*throw_on_failure=*/true); }
-
-  void WriteFiles(bool throw_on_failure) {
-    if (written_) {
-      return;
-    }
-    written_ = true;
-    std::string failed;
-    if (!metrics_path.empty()) {
-      // Every metrics.json carries the process' own resource footprint
-      // (timing section — gauges, so re-recording merges harmlessly).
-      RecordProcessSelfStats(registry);
-    }
-    if (!metrics_path.empty() && !WriteMetricsFile(metrics_path, registry)) {
-      failed = metrics_path;
-    }
-    if (!trace_path.empty() && !WriteTraceFile(trace_path, collector)) {
-      failed = trace_path;
-    }
-    if (!coverage_path.empty() && !WriteCoverageFile(coverage_path, coverage)) {
-      failed = coverage_path;
-    }
-    if (failed.empty()) {
-      return;
-    }
-    if (throw_on_failure) {
-      throw CompileError("cannot write telemetry file '" + failed + "'");
-    }
-    std::fprintf(stderr, "gauntlet: cannot write telemetry file '%s'\n", failed.c_str());
+  if (args.Has("--trace-out")) {
+    paths.trace = args.Last("--trace-out");
   }
-
-  MetricsRegistry registry;
-  TraceCollector collector;
-  CoverageMap coverage;
-  std::string metrics_path;
-  std::string trace_path;
-  std::string coverage_path;
-  bool written_ = false;
-};
-
-// Installs the single-threaded commands' telemetry sinks for a scope (the
-// campaign drivers install their own per-worker sinks instead).
-struct ScopedTelemetry {
-  explicit ScopedTelemetry(Telemetry& telemetry)
-      : metrics_sink(telemetry.registry_or_null()),
-        coverage_sink(telemetry.coverage_or_null()),
-        trace_sink(telemetry.collector_or_null() != nullptr ? telemetry.collector.NewBuffer(0)
-                                                            : nullptr) {}
-  ScopedMetricsSink metrics_sink;
-  ScopedCoverageSink coverage_sink;
-  ScopedTraceSink trace_sink;
-};
+  if (args.Has("--coverage-out")) {
+    paths.coverage = args.Last("--coverage-out");
+  }
+  return paths;
+}
 
 void MaybePrintCacheStats(const ParsedArgs& args, const CacheStats& stats) {
   if (!args.Has("--cache-stats")) {
@@ -261,13 +193,13 @@ void MaybePrintCacheStats(const ParsedArgs& args, const CacheStats& stats) {
 // metrics.json (cache on) and the --cache-stats line, then the telemetry
 // files.
 void FinishSingleProgramCache(const ParsedArgs& args, const ValidationCache* cache,
-                              Telemetry& telemetry) {
+                              RunSinks& sinks) {
   const CacheStats stats = cache != nullptr ? cache->Stats() : CacheStats{};
-  if (cache != nullptr && telemetry.registry_or_null() != nullptr) {
-    stats.RecordMetrics(telemetry.registry);
+  if (cache != nullptr && sinks.metrics() != nullptr) {
+    stats.RecordMetrics(*sinks.metrics());
   }
   MaybePrintCacheStats(args, stats);
-  telemetry.Write();
+  sinks.Write();
 }
 
 // Strict decimal parse; rejects "abc", "4x", out-of-range and empty
@@ -369,7 +301,7 @@ int CmdCompile(const std::string& path, const BugConfig& bugs) {
 }
 
 int CmdValidate(const std::string& path, const BugConfig& bugs, const ParsedArgs& args) {
-  Telemetry telemetry(args);
+  RunSinks sinks(SinkPaths(args));
   auto program = Parser::ParseString(ReadFile(path));
   TvOptions tv_options;
   TestGenOptions unused_testgen_options;
@@ -382,7 +314,7 @@ int CmdValidate(const std::string& path, const BugConfig& bugs, const ParsedArgs
   }
   TvReport report;
   {
-    ScopedTelemetry sinks(telemetry);
+    const RunSinks::Scope scope(&sinks);
     report = validator.Validate(*program, bugs, /*stop_after_pass=*/{}, cache_ptr);
   }
   if (report.crashed) {
@@ -412,12 +344,12 @@ int CmdValidate(const std::string& path, const BugConfig& bugs, const ParsedArgs
     std::fprintf(stderr, "progress: %zu pass pairs validated, done\n",
                  report.pass_results.size());
   }
-  FinishSingleProgramCache(args, cache_ptr, telemetry);
+  FinishSingleProgramCache(args, cache_ptr, sinks);
   return problems == 0 ? 0 : 1;
 }
 
 int CmdTestgen(const std::string& path, const ParsedArgs& args) {
-  Telemetry telemetry(args);
+  RunSinks sinks(SinkPaths(args));
   auto program = Parser::ParseString(ReadFile(path));
   TypeCheck(*program);
   ValidationCache cache;
@@ -430,7 +362,7 @@ int CmdTestgen(const std::string& path, const ParsedArgs& args) {
   ApplySolverSwitches(args, unused_tv_options, testgen_options);
   std::vector<PacketTest> tests;
   try {
-    ScopedTelemetry sinks(telemetry);
+    const RunSinks::Scope scope(&sinks);
     tests = TestCaseGenerator(testgen_options).Generate(*program, cache_ptr);
   } catch (const UnsupportedError& error) {
     std::fprintf(stderr, "testgen: unsupported program: %s\n", error.what());
@@ -443,7 +375,7 @@ int CmdTestgen(const std::string& path, const ParsedArgs& args) {
   if (args.Has("--progress")) {
     std::fprintf(stderr, "progress: %zu tests generated, done\n", tests.size());
   }
-  FinishSingleProgramCache(args, cache_ptr, telemetry);
+  FinishSingleProgramCache(args, cache_ptr, sinks);
   // No tests means no coverage — scripts piping this into a replay harness
   // must be able to gate on it.
   return tests.empty() ? 1 : 0;
@@ -470,16 +402,11 @@ void PrintReport(const CampaignReport& report) {
   }
 }
 
-// Wires the telemetry destinations and the optional --progress heartbeat
-// into a campaign's options (single-process or sharded). The meter outlives the
-// run — callers Finish() it before printing the report so the stderr
-// heartbeat never interleaves with the stdout report.
-std::unique_ptr<ProgressMeter> WireCampaignTelemetry(const ParsedArgs& args,
-                                                     Telemetry& telemetry,
-                                                     CampaignOptions& options) {
-  options.metrics = telemetry.registry_or_null();
-  options.trace = telemetry.collector_or_null();
-  options.coverage = telemetry.coverage_or_null();
+// Wires the optional --progress heartbeat into a campaign's options
+// (single-process or sharded). The meter outlives the run — callers
+// Finish() it before printing the report so the stderr heartbeat never
+// interleaves with the stdout report.
+std::unique_ptr<ProgressMeter> WireProgress(const ParsedArgs& args, CampaignOptions& options) {
   std::unique_ptr<ProgressMeter> meter;
   if (args.Has("--progress")) {
     meter = std::make_unique<ProgressMeter>("programs",
@@ -493,7 +420,7 @@ std::unique_ptr<ProgressMeter> WireCampaignTelemetry(const ParsedArgs& args,
 // `campaign --shards S`: the distributed path (src/dist/). The coordinator
 // owns the topology; the merged deterministic output is byte-identical to
 // the single-process run for any shard count — the CI shard-identity gate.
-int RunCampaignSharded(const ParsedArgs& args, const BugConfig& bugs, Telemetry& telemetry,
+int RunCampaignSharded(const ParsedArgs& args, const BugConfig& bugs, RunSinks& sinks,
                        ParallelCampaignOptions& parallel) {
   if (args.Has("--trace-out")) {
     throw CliUsageError("--trace-out is per-process; it cannot be combined with --shards");
@@ -535,8 +462,7 @@ int RunCampaignSharded(const ParsedArgs& args, const BugConfig& bugs, Telemetry&
       options.worker_flags.push_back("--no-incremental");
     }
   }
-  const std::unique_ptr<ProgressMeter> meter =
-      WireCampaignTelemetry(args, telemetry, options.campaign);
+  const std::unique_ptr<ProgressMeter> meter = WireProgress(args, options.campaign);
   const CoordinatorOutcome outcome = RunShardCoordinator(options, bugs);
   if (meter != nullptr) {
     meter->Finish(static_cast<uint64_t>(outcome.report.programs_generated),
@@ -547,7 +473,7 @@ int RunCampaignSharded(const ParsedArgs& args, const BugConfig& bugs, Telemetry&
   // to the single-process run.
   std::fprintf(stderr, "%s", outcome.suggestion.ToString().c_str());
   MaybePrintCacheStats(args, outcome.cache_stats);
-  telemetry.Write();
+  sinks.Write();
   if (!options.corpus_dir.empty()) {
     std::fprintf(stderr, "corpus: %d reproducers under %s (all runs)\n",
                  CountCorpus(options.corpus_dir), options.corpus_dir.c_str());
@@ -563,8 +489,9 @@ int CmdCampaign(int argc, char** argv) {
                           "--snapshot-interval"}),
       /*max_positionals=*/2, kCacheSwitches);
   const BugConfig bugs = BugsFromFlags(args);
-  Telemetry telemetry(args);
+  RunSinks sinks(SinkPaths(args));
   ParallelCampaignOptions options;
+  options.campaign.sinks = &sinks;
   options.campaign.targets = TargetsFromFlags(args);
   options.campaign.use_cache = !args.Has("--no-cache");
   ApplySolverSwitches(args, options.campaign.tv, options.campaign.testgen);
@@ -600,18 +527,18 @@ int CmdCampaign(int argc, char** argv) {
     throw CliUsageError("--worker/--shard-dir only apply to a sharded campaign (--shards)");
   }
   if (args.Has("--shards")) {
-    return RunCampaignSharded(args, bugs, telemetry, options);
+    return RunCampaignSharded(args, bugs, sinks, options);
   }
-  const std::unique_ptr<ProgressMeter> meter =
-      WireCampaignTelemetry(args, telemetry, options.campaign);
+  const std::unique_ptr<ProgressMeter> meter = WireProgress(args, options.campaign);
   CacheStats stats;
   const CampaignReport report = ParallelCampaign(options).Run(bugs, &stats);
+  sinks.Fold(report, bugs, options.campaign.use_cache ? &stats : nullptr);
   if (meter != nullptr) {
     meter->Finish(static_cast<uint64_t>(report.programs_generated), report.findings.size());
   }
   PrintReport(report);
   MaybePrintCacheStats(args, stats);
-  telemetry.Write();
+  sinks.Write();
   if (!options.corpus_dir.empty()) {
     // Stat-only count; the corpus dedups across runs, so the directory can
     // legitimately hold more reproducers than this run's findings.
@@ -638,13 +565,14 @@ int CmdShardWorker(int argc, char** argv) {
     }
   }
   const BugConfig bugs = BugsFromFlags(args);
-  Telemetry telemetry(args);
-  ShardWorkerOptions options;
-  options.range.begin = ParseCount(args.Last("--shard-begin"), "--shard-begin", /*minimum=*/0);
-  options.range.end = ParseCount(args.Last("--shard-end"), "--shard-end", /*minimum=*/0);
-  if (options.range.end < options.range.begin) {
+  ShardRange range;
+  range.begin = ParseCount(args.Last("--shard-begin"), "--shard-begin", /*minimum=*/0);
+  range.end = ParseCount(args.Last("--shard-end"), "--shard-end", /*minimum=*/0);
+  if (range.end < range.begin) {
     throw CliUsageError("--shard-end must be >= --shard-begin");
   }
+  ParallelCampaignOptions options;
+  options.status_role = "shard";
   options.campaign.seed = static_cast<uint64_t>(ParseNumber(args.Last("--seed"), "--seed"));
   options.campaign.targets = TargetsFromFlags(args);
   options.campaign.use_cache = !args.Has("--no-cache");
@@ -673,29 +601,22 @@ int CmdShardWorker(int argc, char** argv) {
   } else if (args.Has("--status-role") || args.Has("--snapshot-interval")) {
     throw CliUsageError("--status-role/--snapshot-interval only apply with --status-dir");
   }
-  options.trace = telemetry.collector_or_null();
-  const ShardResult result = RunShardWorker(options, bugs);
+  RunSinks sinks(SinkPaths(args));
+  options.campaign.sinks = &sinks;
+  const ShardResult result = RunShardWorker(options, range, bugs);
   SaveShardResultFile(args.Last("--result-out"), result);
   // The result file above stays *unfolded* (the coordinator folds the
   // cross-shard merge exactly once); the side-channel telemetry files are a
   // per-shard human view, so they get this shard's own fold.
-  if (telemetry.registry_or_null() != nullptr) {
-    telemetry.registry.MergeFrom(result.metrics);
-  }
-  if (telemetry.coverage_or_null() != nullptr) {
-    telemetry.coverage.MergeFrom(result.coverage);
-  }
-  FoldReportTelemetry(result.report, bugs,
-                      options.campaign.use_cache ? &result.cache_stats : nullptr,
-                      telemetry.registry_or_null(), telemetry.coverage_or_null());
-  telemetry.Write();
+  sinks.Fold(result.report, bugs, options.campaign.use_cache ? &result.cache_stats : nullptr);
+  sinks.Write();
   return 0;
 }
 
 // `gauntlet serve`: the long-lived submission service (src/dist/serve).
-// The server owns its telemetry files (rewritten atomically on every
-// status flush and once more on exit), so a SIGTERM'd session still leaves
-// loadable metrics/coverage/trace artifacts behind.
+// The server rewrites the telemetry files atomically on every status flush
+// and once more on exit, so a SIGTERM'd session still leaves loadable
+// metrics/coverage/trace artifacts behind.
 int CmdServe(int argc, char** argv) {
   const ParsedArgs args = ParseCommandArgs(
       argc, argv,
@@ -709,20 +630,13 @@ int CmdServe(int argc, char** argv) {
     throw CliUsageError("--snapshot-interval only applies with --status-dir");
   }
   const BugConfig bugs = BugsFromFlags(args);
+  RunSinks sinks(SinkPaths(args));
   ServeOptions options;
   options.socket_path = args.Last("--socket");
+  options.campaign.sinks = &sinks;
   options.campaign.targets = TargetsFromFlags(args);
   options.campaign.use_cache = !args.Has("--no-cache");
   ApplySolverSwitches(args, options.campaign.tv, options.campaign.testgen);
-  if (args.Has("--metrics-out")) {
-    options.metrics_out = args.Last("--metrics-out");
-  }
-  if (args.Has("--coverage-out")) {
-    options.coverage_out = args.Last("--coverage-out");
-  }
-  if (args.Has("--trace-out")) {
-    options.trace_out = args.Last("--trace-out");
-  }
   if (args.Has("--status-dir")) {
     options.status_dir = args.Last("--status-dir");
     if (args.Has("--snapshot-interval")) {
@@ -822,13 +736,13 @@ int CmdSubmit(int argc, char** argv) {
   }
   const std::string response = SendServeRequest(socket_path, payload);
   std::printf("%s\n", response.c_str());
-  const bool ok = response.find("\"status\":\"ok\"") != std::string::npos ||
-                  response.find("\"status\":\"shutting-down\"") != std::string::npos;
-  const bool clean = response.find("\"findings\":[]") != std::string::npos;
-  if (!ok) {
-    return 1;
-  }
-  return args.Has("--shutdown") || clean ? 0 : 1;
+  const JsonValue verdict = JsonValue::Parse(response);
+  const JsonValue* status = verdict.Find("status");
+  const JsonValue* findings = verdict.Find("findings");
+  const bool ok = status != nullptr &&
+                  (status->AsString() == "ok" || status->AsString() == "shutting-down");
+  const bool clean = findings != nullptr && findings->AsArray().empty();
+  return ok && (args.Has("--shutdown") || clean) ? 0 : 1;
 }
 
 int CmdReplay(int argc, char** argv) {
@@ -836,7 +750,7 @@ int CmdReplay(int argc, char** argv) {
       argc, argv, WithTelemetryFlags({"--bug", "--targets", "--corpus", "--cache-file"}),
       /*max_positionals=*/2, {"--progress"});
   const BugConfig bugs = BugsFromFlags(args);
-  Telemetry telemetry(args);
+  RunSinks sinks(SinkPaths(args));
   const std::vector<std::string> targets = TargetsFromFlags(args);
   if (args.Has("--cache-file")) {
     // Replay performs no solver queries, so the warm-start file is loaded
@@ -874,7 +788,7 @@ int CmdReplay(int argc, char** argv) {
     }
     CorpusReplaySummary summary;
     {
-      ScopedTelemetry sinks(telemetry);
+      const RunSinks::Scope scope(&sinks);
       summary = ReplayCorpus(directory, bugs, targets, progress);
     }
     if (meter != nullptr) {
@@ -899,7 +813,7 @@ int CmdReplay(int argc, char** argv) {
     }
     std::printf("%d reproducers replayed, %d still failing\n", summary.entries,
                 summary.failed_entries);
-    telemetry.Write();
+    sinks.Write();
     return summary.passed() ? 0 : 1;
   }
 
@@ -908,7 +822,7 @@ int CmdReplay(int argc, char** argv) {
   }
   ReplayOutcome outcome;
   {
-    ScopedTelemetry sinks(telemetry);
+    const RunSinks::Scope scope(&sinks);
     outcome = ReplayStfText(ReadFile(args.positionals[0]), ReadFile(args.positionals[1]), bugs,
                             targets);
   }
@@ -917,7 +831,7 @@ int CmdReplay(int argc, char** argv) {
   }
   std::printf("%d tests replayed, %d mismatch%s\n", outcome.tests_run, outcome.failures,
               outcome.failures == 1 ? "" : "es");
-  telemetry.Write();
+  sinks.Write();
   return outcome.passed() ? 0 : 1;
 }
 

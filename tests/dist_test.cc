@@ -153,11 +153,11 @@ class DistScratch : public ::testing::Test {
 // --- shard-result serialization --------------------------------------------
 
 TEST_F(DistScratch, ShardResultRoundTripsThroughFile) {
-  ShardWorkerOptions options;
+  ParallelCampaignOptions options;
   options.campaign = SmallCampaign(12);
-  options.range = {/*index=*/1, /*begin=*/4, /*end=*/12};
   options.jobs = 2;
-  const ShardResult original = RunShardWorker(options, TwoFaults());
+  const ShardResult original =
+      RunShardWorker(options, {/*index=*/1, /*begin=*/4, /*end=*/12}, TwoFaults());
   EXPECT_EQ(original.report.programs_generated, 8);
 
   const std::string path = Path("shard.result");
@@ -307,15 +307,17 @@ TEST_F(DistScratch, ShardMergeReproducesSingleProcessRun) {
   const BugConfig bugs = TwoFaults();
   const int num_programs = 20;
 
-  MetricsRegistry single_metrics;
-  CoverageMap single_coverage;
+  RunSinks single_sinks({}, RunSinks::kMetrics | RunSinks::kCoverage);
   ParallelCampaignOptions single;
   single.campaign = SmallCampaign(num_programs);
-  single.campaign.metrics = &single_metrics;
-  single.campaign.coverage = &single_coverage;
+  single.campaign.sinks = &single_sinks;
   single.corpus_dir = Path("corpus-single");
   single.jobs = 1;
-  const CampaignReport reference = ParallelCampaign(single).Run(bugs);
+  CacheStats single_stats;
+  const CampaignReport reference = ParallelCampaign(single).Run(bugs, &single_stats);
+  single_sinks.Fold(reference, bugs, single.campaign.use_cache ? &single_stats : nullptr);
+  const MetricsRegistry& single_metrics = *single_sinks.metrics();
+  const CoverageMap& single_coverage = *single_sinks.coverage();
   ASSERT_FALSE(reference.findings.empty())
       << "campaign tripped nothing; the identity check would be vacuous";
   const std::string reference_metrics = DeterministicSection(MetricsJson(single_metrics));
@@ -326,12 +328,10 @@ TEST_F(DistScratch, ShardMergeReproducesSingleProcessRun) {
 
   for (const int shards : {1, 4}) {
     for (const int jobs : {1, 4}) {
-      MetricsRegistry metrics;
-      CoverageMap coverage;
+      RunSinks sinks({}, RunSinks::kMetrics | RunSinks::kCoverage);
       ShardCoordinatorOptions options;
       options.campaign = SmallCampaign(num_programs);
-      options.campaign.metrics = &metrics;
-      options.campaign.coverage = &coverage;
+      options.campaign.sinks = &sinks;
       options.shards = shards;
       options.jobs = jobs;
       options.corpus_dir =
@@ -341,8 +341,8 @@ TEST_F(DistScratch, ShardMergeReproducesSingleProcessRun) {
       SCOPED_TRACE("shards=" + std::to_string(shards) + " jobs=" + std::to_string(jobs));
       ASSERT_EQ(outcome.shard_ranges.size(), static_cast<size_t>(shards));
       ExpectIdenticalReports(reference, outcome.report);
-      EXPECT_EQ(DeterministicSection(MetricsJson(metrics)), reference_metrics);
-      EXPECT_EQ(DeterministicSection(CoverageJson(coverage)), reference_coverage);
+      EXPECT_EQ(DeterministicSection(MetricsJson(*sinks.metrics())), reference_metrics);
+      EXPECT_EQ(DeterministicSection(CoverageJson(*sinks.coverage())), reference_coverage);
       EXPECT_EQ(DirSnapshot(options.corpus_dir), reference_corpus);
     }
   }
@@ -521,14 +521,14 @@ package main { parser = p; ingress = ig; deparser = dp; }
 )";
 
 TEST_F(DistScratch, ServeRoundTripsSubmissionsAndFoldsSinks) {
-  MetricsRegistry metrics;
-  CoverageMap coverage;
+  RunSinks sinks({}, RunSinks::kMetrics | RunSinks::kCoverage);
   ServeOptions options;
   options.socket_path = Path("sock");
   options.corpus_dir = Path("corpus");
   options.campaign = SmallCampaign(/*num_programs=*/0);
-  options.campaign.metrics = &metrics;
-  options.campaign.coverage = &coverage;
+  options.campaign.sinks = &sinks;
+  const MetricsRegistry& metrics = *sinks.metrics();
+  const CoverageMap& coverage = *sinks.coverage();
 
   GauntletServer server(std::move(options), BugConfig::None());
   server.Start();
@@ -593,12 +593,11 @@ TEST_F(DistScratch, ServeMaxRequestsBoundsTheLoop) {
 // telemetry up to the last flush — and leaves finished, loadable artifacts
 // plus a "done" snapshot after a clean shutdown.
 TEST_F(DistScratch, ServeFlushesTelemetryMidSessionAndOnExit) {
+  RunSinks sinks({Path("metrics.json"), Path("trace.json"), Path("coverage.json")});
   ServeOptions options;
   options.socket_path = Path("sock");
   options.campaign = SmallCampaign(/*num_programs=*/0);
-  options.metrics_out = Path("metrics.json");
-  options.coverage_out = Path("coverage.json");
-  options.trace_out = Path("trace.json");
+  options.campaign.sinks = &sinks;
   options.status_dir = Path("status");
   options.snapshot_interval_ms = 20;
 

@@ -9,9 +9,11 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "src/cache/verdict_cache.h"
 #include "src/gauntlet/campaign.h"
 #include "src/obs/coverage.h"
 #include "src/obs/metrics.h"
@@ -19,6 +21,8 @@
 #include "src/obs/run_report.h"
 #include "src/obs/trace.h"
 #include "src/runtime/parallel_campaign.h"
+#include "src/support/error.h"
+#include "src/support/file_io.h"
 #include "src/support/json.h"
 #include "src/target/stf.h"
 
@@ -215,14 +219,55 @@ void ExpectBalancedJson(const std::string& text) {
   EXPECT_TRUE(any);
 }
 
-TEST(RunReportTest, WritesToAFullDeviceFail) {
-  // The write helpers flush and check the stream: a full disk is an error,
-  // not a silently truncated report.
-  MetricsRegistry registry;
-  registry.Count("campaign/findings_total", MetricScope::kDeterministic, 3);
-  EXPECT_FALSE(WriteMetricsFile("/dev/full", registry));
-  EXPECT_FALSE(WriteTraceFile("/dev/full", TraceCollector()));
-  EXPECT_FALSE(WriteCoverageFile("/dev/full", CoverageMap()));
+// A telemetry path under a directory that does not exist: every write to
+// it fails, and the atomic writer must leave nothing behind.
+std::string UnwritableDir() {
+  return (std::filesystem::temp_directory_path() / "gauntlet_obs_no_such_dir").string();
+}
+
+TEST(RunSinksTest, FailedFinalWriteThrowsAndLeavesNoTempFile) {
+  const std::string dir = UnwritableDir();
+  std::filesystem::remove_all(dir);
+  RunSinks sinks({dir + "/metrics.json", dir + "/trace.json", dir + "/coverage.json"});
+  sinks.metrics()->Count("campaign/findings_total", MetricScope::kDeterministic, 3);
+  EXPECT_THROW(sinks.Write(), CompileError);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(RunSinksTest, FailedMidSessionFlushReturnsFalse) {
+  const std::string dir = UnwritableDir();
+  std::filesystem::remove_all(dir);
+  RunSinks sinks({dir + "/metrics.json", "", dir + "/coverage.json"});
+  EXPECT_FALSE(sinks.Flush(sinks.Render()));
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
+TEST(RunSinksTest, WritesEveryRequestedFileAtomically) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "gauntlet_obs_sink_files";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    RunSinks sinks({(dir / "m.json").string(), (dir / "t.json").string(),
+                    (dir / "c.json").string()});
+    {
+      const RunSinks::Scope scope(&sinks);
+      TraceSpan span("phase");
+      CountMetric("n", MetricScope::kDeterministic);
+    }
+    EXPECT_TRUE(sinks.Flush(sinks.Render()));
+    sinks.Write();
+  }
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos) << entry.path();
+    ++files;
+  }
+  EXPECT_EQ(files, 3u);
+  std::string metrics;
+  ASSERT_TRUE(ReadFile((dir / "m.json").string(), &metrics));
+  EXPECT_NE(DeterministicSection(metrics).find("\"n\": 1"), std::string::npos) << metrics;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunReportTest, MetricsJsonIsStructurallyValid) {
@@ -655,6 +700,17 @@ ParallelCampaignOptions TelemetryCampaign(int num_programs, int jobs) {
   return options;
 }
 
+// Runs `options` into `sinks` and folds the merged report once, as the
+// campaign command does.
+CampaignReport RunWithSinks(ParallelCampaignOptions options, const BugConfig& bugs,
+                            RunSinks& sinks) {
+  options.campaign.sinks = &sinks;
+  CacheStats stats;
+  const CampaignReport report = ParallelCampaign(options).Run(bugs, &stats);
+  sinks.Fold(report, bugs, options.campaign.use_cache ? &stats : nullptr);
+  return report;
+}
+
 BugConfig TelemetryBugs() {
   BugConfig bugs;
   bugs.Enable(BugId::kTypeCheckerShiftCrash);
@@ -682,15 +738,14 @@ void ExpectIdenticalFindings(const CampaignReport& a, const CampaignReport& b) {
 
 TEST(CampaignTelemetryTest, DeterministicSectionIsByteIdenticalAcrossJobs) {
   const BugConfig bugs = TelemetryBugs();
-  MetricsRegistry serial_metrics;
-  ParallelCampaignOptions serial = TelemetryCampaign(16, 1);
-  serial.campaign.metrics = &serial_metrics;
-  const CampaignReport serial_report = ParallelCampaign(serial).Run(bugs);
+  RunSinks serial_sinks({}, RunSinks::kMetrics);
+  const CampaignReport serial_report = RunWithSinks(TelemetryCampaign(16, 1), bugs, serial_sinks);
+  const MetricsRegistry& serial_metrics = *serial_sinks.metrics();
 
-  MetricsRegistry parallel_metrics;
-  ParallelCampaignOptions parallel = TelemetryCampaign(16, 8);
-  parallel.campaign.metrics = &parallel_metrics;
-  const CampaignReport parallel_report = ParallelCampaign(parallel).Run(bugs);
+  RunSinks parallel_sinks({}, RunSinks::kMetrics);
+  const CampaignReport parallel_report =
+      RunWithSinks(TelemetryCampaign(16, 8), bugs, parallel_sinks);
+  const MetricsRegistry& parallel_metrics = *parallel_sinks.metrics();
 
   ExpectIdenticalFindings(serial_report, parallel_report);
   const std::string serial_det = DeterministicSection(MetricsJson(serial_metrics));
@@ -705,16 +760,15 @@ TEST(CampaignTelemetryTest, DeterministicSectionIsByteIdenticalAcrossJobs) {
 
 TEST(CampaignTelemetryTest, DeterministicSectionIsByteIdenticalCacheOnOrOff) {
   const BugConfig bugs = TelemetryBugs();
-  MetricsRegistry cached_metrics;
-  ParallelCampaignOptions cached = TelemetryCampaign(12, 4);
-  cached.campaign.metrics = &cached_metrics;
-  const CampaignReport cached_report = ParallelCampaign(cached).Run(bugs);
+  RunSinks cached_sinks({}, RunSinks::kMetrics);
+  const CampaignReport cached_report = RunWithSinks(TelemetryCampaign(12, 4), bugs, cached_sinks);
+  const MetricsRegistry& cached_metrics = *cached_sinks.metrics();
 
-  MetricsRegistry uncached_metrics;
+  RunSinks uncached_sinks({}, RunSinks::kMetrics);
   ParallelCampaignOptions uncached = TelemetryCampaign(12, 4);
   uncached.campaign.use_cache = false;
-  uncached.campaign.metrics = &uncached_metrics;
-  const CampaignReport uncached_report = ParallelCampaign(uncached).Run(bugs);
+  const CampaignReport uncached_report = RunWithSinks(uncached, bugs, uncached_sinks);
+  const MetricsRegistry& uncached_metrics = *uncached_sinks.metrics();
 
   ExpectIdenticalFindings(cached_report, uncached_report);
   EXPECT_EQ(DeterministicSection(MetricsJson(cached_metrics)),
@@ -728,16 +782,15 @@ TEST(CampaignTelemetryTest, FindingsAreBitIdenticalWithTelemetryOnOrOff) {
   const BugConfig bugs = TelemetryBugs();
   const CampaignReport plain = ParallelCampaign(TelemetryCampaign(16, 4)).Run(bugs);
 
-  MetricsRegistry metrics;
-  TraceCollector trace;
+  RunSinks sinks({}, RunSinks::kMetrics | RunSinks::kTrace);
   ParallelCampaignOptions instrumented = TelemetryCampaign(16, 4);
-  instrumented.campaign.metrics = &metrics;
-  instrumented.campaign.trace = &trace;
   std::atomic<uint64_t> heartbeat_calls{0};
   instrumented.campaign.progress = [&heartbeat_calls](uint64_t, uint64_t) {
     ++heartbeat_calls;
   };
-  const CampaignReport traced = ParallelCampaign(instrumented).Run(bugs);
+  const CampaignReport traced = RunWithSinks(instrumented, bugs, sinks);
+  const MetricsRegistry& metrics = *sinks.metrics();
+  const TraceCollector& trace = *sinks.trace();
 
   ExpectIdenticalFindings(plain, traced);
   EXPECT_EQ(plain.programs_generated, traced.programs_generated);
@@ -748,12 +801,9 @@ TEST(CampaignTelemetryTest, FindingsAreBitIdenticalWithTelemetryOnOrOff) {
 }
 
 TEST(CampaignTelemetryTest, CampaignTraceIsWellFormedAndCoversThePhases) {
-  MetricsRegistry metrics;
-  TraceCollector trace;
-  ParallelCampaignOptions options = TelemetryCampaign(8, 2);
-  options.campaign.metrics = &metrics;
-  options.campaign.trace = &trace;
-  ParallelCampaign(options).Run(TelemetryBugs());
+  RunSinks sinks({}, RunSinks::kMetrics | RunSinks::kTrace);
+  RunWithSinks(TelemetryCampaign(8, 2), TelemetryBugs(), sinks);
+  const TraceCollector& trace = *sinks.trace();
 
   const std::vector<TraceEvent> events = trace.SortedEvents();
   ASSERT_FALSE(events.empty());
@@ -791,15 +841,14 @@ TEST(CampaignTelemetryTest, CampaignTraceIsWellFormedAndCoversThePhases) {
 
 TEST(CampaignCoverageTest, DeterministicSectionIsByteIdenticalAcrossJobs) {
   const BugConfig bugs = TelemetryBugs();
-  CoverageMap serial_coverage;
-  ParallelCampaignOptions serial = TelemetryCampaign(16, 1);
-  serial.campaign.coverage = &serial_coverage;
-  const CampaignReport serial_report = ParallelCampaign(serial).Run(bugs);
+  RunSinks serial_sinks({}, RunSinks::kCoverage);
+  const CampaignReport serial_report = RunWithSinks(TelemetryCampaign(16, 1), bugs, serial_sinks);
+  const CoverageMap& serial_coverage = *serial_sinks.coverage();
 
-  CoverageMap parallel_coverage;
-  ParallelCampaignOptions parallel = TelemetryCampaign(16, 8);
-  parallel.campaign.coverage = &parallel_coverage;
-  const CampaignReport parallel_report = ParallelCampaign(parallel).Run(bugs);
+  RunSinks parallel_sinks({}, RunSinks::kCoverage);
+  const CampaignReport parallel_report =
+      RunWithSinks(TelemetryCampaign(16, 8), bugs, parallel_sinks);
+  const CoverageMap& parallel_coverage = *parallel_sinks.coverage();
 
   ExpectIdenticalFindings(serial_report, parallel_report);
   const std::string serial_det = DeterministicSection(CoverageJson(serial_coverage));
@@ -841,16 +890,15 @@ TEST(CampaignCoverageTest, DeterministicSectionIsByteIdenticalAcrossJobs) {
 
 TEST(CampaignCoverageTest, DeterministicSectionIsByteIdenticalCacheOnOrOff) {
   const BugConfig bugs = TelemetryBugs();
-  CoverageMap cached_coverage;
-  ParallelCampaignOptions cached = TelemetryCampaign(12, 4);
-  cached.campaign.coverage = &cached_coverage;
-  const CampaignReport cached_report = ParallelCampaign(cached).Run(bugs);
+  RunSinks cached_sinks({}, RunSinks::kCoverage);
+  const CampaignReport cached_report = RunWithSinks(TelemetryCampaign(12, 4), bugs, cached_sinks);
+  const CoverageMap& cached_coverage = *cached_sinks.coverage();
 
-  CoverageMap uncached_coverage;
+  RunSinks uncached_sinks({}, RunSinks::kCoverage);
   ParallelCampaignOptions uncached = TelemetryCampaign(12, 4);
   uncached.campaign.use_cache = false;
-  uncached.campaign.coverage = &uncached_coverage;
-  const CampaignReport uncached_report = ParallelCampaign(uncached).Run(bugs);
+  const CampaignReport uncached_report = RunWithSinks(uncached, bugs, uncached_sinks);
+  const CoverageMap& uncached_coverage = *uncached_sinks.coverage();
 
   ExpectIdenticalFindings(cached_report, uncached_report);
   EXPECT_EQ(DeterministicSection(CoverageJson(cached_coverage)),
@@ -860,20 +908,18 @@ TEST(CampaignCoverageTest, DeterministicSectionIsByteIdenticalCacheOnOrOff) {
 TEST(CampaignCoverageTest, FindingsAreBitIdenticalWithCoverageOnOrOff) {
   const BugConfig bugs = TelemetryBugs();
   const CampaignReport plain = ParallelCampaign(TelemetryCampaign(12, 4)).Run(bugs);
-  CoverageMap coverage;
-  ParallelCampaignOptions instrumented = TelemetryCampaign(12, 4);
-  instrumented.campaign.coverage = &coverage;
-  const CampaignReport covered = ParallelCampaign(instrumented).Run(bugs);
+  RunSinks sinks({}, RunSinks::kCoverage);
+  const CampaignReport covered = RunWithSinks(TelemetryCampaign(12, 4), bugs, sinks);
+  const CoverageMap& coverage = *sinks.coverage();
   ExpectIdenticalFindings(plain, covered);
   EXPECT_EQ(plain.tests_generated, covered.tests_generated);
   EXPECT_FALSE(coverage.empty());
 }
 
 TEST(CampaignCoverageTest, FaultTriggerDomainCoversTheWholeCatalogue) {
-  CoverageMap coverage;
-  ParallelCampaignOptions options = TelemetryCampaign(4, 2);
-  options.campaign.coverage = &coverage;
-  const CampaignReport report = ParallelCampaign(options).Run(TelemetryBugs());
+  RunSinks sinks({}, RunSinks::kCoverage);
+  const CampaignReport report = RunWithSinks(TelemetryCampaign(4, 2), TelemetryBugs(), sinks);
+  const CoverageMap& coverage = *sinks.coverage();
 
   // Every catalogued fault appears with its full point set — including the
   // ones this campaign never seeded — so a coverage snapshot always shows

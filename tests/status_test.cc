@@ -15,6 +15,7 @@
 #include <sstream>
 #include <thread>
 
+#include "src/cache/verdict_cache.h"
 #include "src/gauntlet/campaign.h"
 #include "src/obs/health.h"
 #include "src/obs/run_report.h"
@@ -459,10 +460,12 @@ TEST_F(StatusScratch, ParallelCampaignDeterministicOutputIdenticalWithStatusOn) 
     options.jobs = jobs;
     options.status_dir = status_dir;
     options.snapshot_interval_ms = 5;
-    MetricsRegistry metrics;
-    options.campaign.metrics = &metrics;
-    const CampaignReport report = ParallelCampaign(options).Run(bugs);
-    return std::make_pair(report, DeterministicSection(MetricsJson(metrics)));
+    RunSinks sinks({}, RunSinks::kMetrics);
+    options.campaign.sinks = &sinks;
+    CacheStats stats;
+    const CampaignReport report = ParallelCampaign(options).Run(bugs, &stats);
+    sinks.Fold(report, bugs, options.campaign.use_cache ? &stats : nullptr);
+    return std::make_pair(report, DeterministicSection(MetricsJson(*sinks.metrics())));
   };
 
   const auto [plain_report, plain_metrics] = run("", 2);
